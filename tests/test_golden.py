@@ -1,0 +1,78 @@
+"""Golden command line outputs, compared byte for byte.
+
+Each case under fixtures/golden/cli holds the argument list, the exit
+code, and the exact stdout and stderr of one in-process `locglob` run:
+`analyze` and `verify` with --format json on every fixture (the
+invalid ones included), `verify --suite 3,6` and
+`oracle-check --suite 3,6`. A refactor must leave all of them as they
+are; a deliberate output change regenerates them with
+
+    python tests/test_golden.py
+
+and says so in CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+HERE = pathlib.Path(__file__).resolve().parent
+FIXTURES = HERE / "fixtures"
+GOLDEN = FIXTURES / "golden" / "cli"
+
+
+def _cases() -> dict:
+    cases = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        for command in ("analyze", "verify"):
+            cases[f"{command}__{path.stem}"] = [
+                command, "--input", f"fixtures/{path.name}",
+                "--format", "json"]
+    cases["verify__suite_3_6"] = ["verify", "--suite", "3,6",
+                                  "--format", "json"]
+    cases["oracle-check__suite_3_6"] = ["oracle-check", "--suite", "3,6",
+                                        "--format", "json"]
+    return cases
+
+
+CASES = _cases()
+
+
+def capture(argv) -> dict:
+    """Run the CLI in process; fixture paths are relative to tests/."""
+    from locglob.cli import main
+
+    args = [str(HERE / a) if a.startswith("fixtures/") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return {"argv": list(argv), "exit_code": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _golden_text(record) -> str:
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+def test_every_case_has_a_golden_file():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    expected = (GOLDEN / f"{name}.json").read_bytes()
+    actual = _golden_text(capture(CASES[name])).encode("utf-8")
+    assert actual == expected
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parent / "src"))
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.json").write_text(_golden_text(capture(argv)),
+                                             encoding="utf-8")
+        print(name)
