@@ -28,7 +28,8 @@ from .oracle import (Instance, InstanceSuite, all_topologies,
                      connected_by_partition, cross_check_connectivity,
                      cross_check_enumeration, cross_check_glob,
                      enumerate_wide_subgroupoids, glob_by_refinements,
-                     glob_by_subgroupoid_defn, instance_suite)
+                     glob_by_subgroupoid_defn, instance_suite,
+                     totally_coherent_by_scan)
 from .sections import (Atlas, Germ, LocalSubgroupoid, canonical_atlas,
                        generated_from_atlas, germ_at, germ_leq, glob, loc,
                        refines, restrict_section, section_from_atlas,

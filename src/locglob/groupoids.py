@@ -4,7 +4,9 @@ Arrows carry opaque ids; a subgroupoid is an id set over a base of
 objects, which keeps closure, intersection and comparison plain set
 algebra. Composition order is diagrammatic: compose(a, b) means
 "a then b" and is defined exactly when the target of a is the source
-of b. Everything is finite and validated exhaustively.
+of b. Everything is finite and validated exhaustively at the public
+constructors. Restriction, closure and intersection build their results
+unchecked: each is closed by a one-line lemma stated where it is built.
 """
 
 from __future__ import annotations
@@ -191,6 +193,18 @@ class WideSubgroupoid:
                     raise ValidationError(
                         f"not closed under composition at ({a!r}, {b!r})")
 
+    @classmethod
+    def _trusted(cls, parent: Groupoid, base: frozenset,
+                 arrows: frozenset) -> WideSubgroupoid:
+        """Build without checking the subgroupoid laws. Only for arrow
+        sets a lemma proves wide and closed over `base`; both sets must
+        already be frozensets."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "parent", parent)
+        object.__setattr__(h, "base", base)
+        object.__setattr__(h, "arrows", arrows)
+        return h
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -242,15 +256,18 @@ def full_restriction(g: Groupoid, region) -> Groupoid:
 
 
 def restrict_wide(h: WideSubgroupoid, region) -> WideSubgroupoid:
-    """Arrows of h with both endpoints in `region`; closure is automatic
-    and re-verified by construction."""
+    """Arrows of h with both endpoints in `region`.
+
+    Closed without a check: the identities of the region, the inverse of
+    a kept arrow and the composite of two kept arrows all lie in h and
+    have both endpoints in the region."""
     reg = frozenset(region)
     if not reg <= h.base:
         raise ValidationError("restriction region must lie inside the base")
     g = h.parent
     keep = frozenset(a for a in h.arrows
                      if g.source[a] in reg and g.target[a] in reg)
-    return WideSubgroupoid(g, reg, keep)
+    return WideSubgroupoid._trusted(g, reg, keep)
 
 
 def _arrow_closure(g: Groupoid, base: frozenset, seed) -> frozenset:
@@ -279,7 +296,9 @@ def _arrow_closure(g: Groupoid, base: frozenset, seed) -> frozenset:
 
 
 def generate_wide(g: Groupoid, base, seed=()) -> WideSubgroupoid:
-    """Smallest wide subgroupoid over `base` containing the seed arrows."""
+    """Smallest wide subgroupoid over `base` containing the seed arrows.
+    The seed is checked; the closure is not, being a fixpoint of the
+    identity, inverse and composition steps."""
     base = frozenset(base)
     if not base <= g.objects:
         raise ValidationError(
@@ -291,7 +310,7 @@ def generate_wide(g: Groupoid, base, seed=()) -> WideSubgroupoid:
     for a in seed:
         if g.source[a] not in base or g.target[a] not in base:
             raise ValidationError(f"seed arrow {a!r} leaves the base")
-    return WideSubgroupoid(g, base, _arrow_closure(g, base, seed))
+    return WideSubgroupoid._trusted(g, base, _arrow_closure(g, base, seed))
 
 
 def transitivity_components(h: WideSubgroupoid) -> frozenset:
@@ -304,6 +323,8 @@ def transitivity_components(h: WideSubgroupoid) -> frozenset:
 
 
 def intersect_wide(subgroupoids) -> WideSubgroupoid:
+    """Common arrows of wide subgroupoids sharing a parent and a base.
+    Every law is closed under intersection, so the result is unchecked."""
     subs = list(subgroupoids)
     if not subs:
         raise ValidationError("intersection of no subgroupoids is undefined")
@@ -314,7 +335,7 @@ def intersect_wide(subgroupoids) -> WideSubgroupoid:
         if h.base != first.base:
             raise ValidationError("base mismatch")
     arrows = frozenset.intersection(*(h.arrows for h in subs))
-    return WideSubgroupoid(first.parent, first.base, arrows)
+    return WideSubgroupoid._trusted(first.parent, first.base, arrows)
 
 
 def is_subgroupoid(inner: WideSubgroupoid, outer: WideSubgroupoid) -> bool:

@@ -11,13 +11,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .coherence import coherence_report
 from .errors import (InvariantViolationError, ResourceLimitError,
                      ValidationError)
 from .groupoids import (Groupoid, WideSubgroupoid, _arrow_closure,
                         cyclic_group, group_bundle, intersect_wide,
                         pair_groupoid, restrict_wide)
 from .sections import (Atlas, LocalSubgroupoid, canonical_atlas, germ_at,
-                       glob, loc, section_from_atlas, section_leq)
+                       glob, loc, restrict_section, section_from_atlas,
+                       section_leq)
 from .spaces import (FiniteSpace, connected_components, enumerate_opens,
                      label_key, relative_openness, set_key, sorted_labels)
 
@@ -150,6 +152,22 @@ def glob_by_refinements(section: LocalSubgroupoid, atlas: Atlas,
             closure_cache[seed] = closed
         intersection = closed if intersection is None else intersection & closed
     return WideSubgroupoid(g, space.points, intersection)
+
+
+def totally_coherent_by_scan(section: LocalSubgroupoid,
+                             max_opens: int = 4096):
+    """Total coherence straight from its definition: restrict the section
+    to every open set, in `enumerate_opens` order, and test coherence;
+    (flag, first failing open or None). Twin of
+    `coherence.is_totally_coherent`, which answers by a lemma."""
+    opens = enumerate_opens(section.space)
+    if len(opens) > max_opens:
+        raise ResourceLimitError(
+            f"{len(opens)} open sets exceeds the configured cap of {max_opens}")
+    for u in opens:
+        if not coherence_report(restrict_section(section, u)).coherent:
+            return False, u
+    return True, None
 
 
 def connected_by_partition(space: FiniteSpace, subset,

@@ -10,7 +10,9 @@ brute-force oracles recompute the same values from raw definitions.
 
 A local subgroupoid (here: section) assigns a germ to every point and
 satisfies the gluing law rep(y) = rep(x)|m(y) for y in m(x), enforced
-at construction.
+by the public constructor. `loc`, `section_from_atlas` and
+`restrict_section` build sections unchecked, each by a lemma stated in
+its docstring.
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ def germ_at(space: FiniteSpace, chart: WideSubgroupoid, x) -> Germ:
         raise ValidationError("chart domain is not an open set")
     if x not in chart.base:
         raise ValidationError(f"point {x!r} is not in the chart domain")
+    return _germ(space, chart, x)
+
+
+def _germ(space: FiniteSpace, chart: WideSubgroupoid, x) -> Germ:
+    """`germ_at` for a chart whose domain is known to be open and to
+    contain x."""
     return Germ(x, restrict_wide(chart, space.minimal_open(x)))
 
 
@@ -103,9 +111,9 @@ class Atlas:
         # report the earliest witness in (point, chart pair) order
         for x in sorted_labels(self.space.points):
             hits = [i for i, (o, _) in enumerate(charts) if x in o]
-            first = germ_at(self.space, charts[hits[0]][1], x)
+            first = _germ(self.space, charts[hits[0]][1], x)
             for j in hits[1:]:
-                if germ_at(self.space, charts[j][1], x) != first:
+                if _germ(self.space, charts[j][1], x) != first:
                     raise AtlasConsistencyError(
                         f"charts {hits[0]} and {j} induce different germs "
                         f"at point {x!r}",
@@ -157,6 +165,18 @@ class LocalSubgroupoid:
                     raise ValidationError(
                         f"gluing law fails from {x!r} to {y!r}")
 
+    @classmethod
+    def _trusted(cls, space: FiniteSpace, parent: Groupoid,
+                 germs: dict) -> LocalSubgroupoid:
+        """Build without checking the gluing law. Only for germ families
+        a lemma proves to be a section over `space`; `germs` must be a
+        fresh dict with one canonical germ per point."""
+        section = object.__new__(cls)
+        object.__setattr__(section, "space", space)
+        object.__setattr__(section, "parent", parent)
+        object.__setattr__(section, "germs", germs)
+        return section
+
     def germ(self, x) -> Germ:
         if x not in self.germs:
             raise ValidationError(f"unknown point {x!r}")
@@ -177,24 +197,34 @@ class LocalSubgroupoid:
 
 
 def section_from_atlas(atlas: Atlas) -> LocalSubgroupoid:
-    """Assemble the section induced by an atlas. Atlas validation has
-    already checked that the chart choice at a point does not matter."""
+    """Assemble the section induced by an atlas.
+
+    Atlas validation has already checked that the charts are open, cover
+    the space and induce one germ at each point, whatever chart is
+    picked. The gluing law needs no check: for y in m(x), with x in the
+    chart domain U, y lies in U too and (H|m(x))|m(y) = H|m(y)."""
     germs = {}
     for x in atlas.space.points:
         for open_set, sub in atlas.charts:
             if x in open_set:
-                germs[x] = germ_at(atlas.space, sub, x)
+                germs[x] = _germ(atlas.space, sub, x)
                 break
-    return LocalSubgroupoid(atlas.space, atlas.parent, germs)
+    return LocalSubgroupoid._trusted(atlas.space, atlas.parent, germs)
 
 
 def loc(space: FiniteSpace, wide: WideSubgroupoid) -> LocalSubgroupoid:
-    """The section of germs of one wide subgroupoid over the whole space."""
+    """The section of germs of one wide subgroupoid over the whole space.
+
+    The gluing law holds without a check: for y in m(x), m(y) lies in
+    m(x), so (H|m(x))|m(y) = H|m(y)."""
     if wide.base != space.points:
         raise ValidationError(
             "loc needs a wide subgroupoid over the whole space")
-    germs = {x: germ_at(space, wide, x) for x in space.points}
-    return LocalSubgroupoid(space, wide.parent, germs)
+    if wide.parent.objects != space.points:
+        raise ValidationError(
+            "ambient groupoid must live on the space's points")
+    germs = {x: _germ(space, wide, x) for x in space.points}
+    return LocalSubgroupoid._trusted(space, wide.parent, germs)
 
 
 def glob(section: LocalSubgroupoid) -> WideSubgroupoid:
@@ -216,7 +246,9 @@ def glob(section: LocalSubgroupoid) -> WideSubgroupoid:
 def restrict_section(section: LocalSubgroupoid, region) -> LocalSubgroupoid:
     """Restrict a section to an open set. Minimal neighbourhoods inside
     an open set are unchanged, so germs carry over verbatim; only the
-    ambient groupoid is cut down."""
+    ambient groupoid is cut down. Nothing is re-checked: each germ keeps
+    its arrows, all inside the region, so it stays closed in the cut-down
+    groupoid, and the gluing law carries over with the neighbourhoods."""
     reg = frozenset(region)
     if not section.space.is_open(reg):
         raise ValidationError("sections restrict to open sets only")
@@ -225,10 +257,9 @@ def restrict_section(section: LocalSubgroupoid, region) -> LocalSubgroupoid:
     germs = {}
     for x in reg:
         old = section.germs[x].rep
-        germs[x] = Germ(x, WideSubgroupoid(sub_parent,
-                                           sub_space.minimal_open(x),
-                                           old.arrows))
-    return LocalSubgroupoid(sub_space, sub_parent, germs)
+        germs[x] = Germ(x, WideSubgroupoid._trusted(sub_parent, old.base,
+                                                    old.arrows))
+    return LocalSubgroupoid._trusted(sub_space, sub_parent, germs)
 
 
 def section_leq(lower: LocalSubgroupoid, upper: LocalSubgroupoid) -> bool:

@@ -7,7 +7,10 @@ neighbourhood is what makes germ computations over the space exact, and
 the whole package leans on it.
 
 A space stores its complete open family explicitly. Bases are a
-constructor input only.
+constructor input only. The public constructor checks the topology
+laws; the family-closing and trace operations below build their
+results unchecked, because those results are topologies by
+construction.
 """
 
 from __future__ import annotations
@@ -85,6 +88,16 @@ class FiniteSpace:
                     f"opens not closed under intersection: "
                     f"{sorted_labels(a)} with {sorted_labels(b)}")
 
+    @classmethod
+    def _trusted(cls, points: frozenset, opens: frozenset) -> FiniteSpace:
+        """Build without checking the topology laws. Only for families
+        a lemma proves to be topologies; both arguments must already be
+        frozensets (of frozensets)."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "points", points)
+        object.__setattr__(space, "opens", opens)
+        return space
+
     @cached_property
     def _minimal(self) -> dict:
         out = {}
@@ -109,7 +122,8 @@ class FiniteSpace:
 
 def space_from_basis(points, basis) -> FiniteSpace:
     """Generate the topology from basis sets by closing under union and
-    intersection and adding the empty and full sets."""
+    intersection and adding the empty and full sets. The closed family
+    is a topology by construction, so only the labels are checked."""
     pts = frozenset(points)
     sets = []
     for raw in basis:
@@ -120,7 +134,7 @@ def space_from_basis(points, basis) -> FiniteSpace:
                 f"basis set {sorted_labels(s)} contains unknown label "
                 f"{sorted_labels(unknown)[0]!r}")
         sets.append(s)
-    return FiniteSpace(pts, _close_family(pts, sets))
+    return FiniteSpace._trusted(pts, _close_family(pts, sets))
 
 
 def enumerate_opens(space: FiniteSpace) -> list:
@@ -162,7 +176,8 @@ def relative_openness(space: FiniteSpace, part, whole) -> tuple:
 
 def generate_topology(space: FiniteSpace, extra_sets) -> FiniteSpace:
     """Smallest topology on the same points containing the current opens
-    and every set in `extra_sets`. The result is finer than `space`."""
+    and every set in `extra_sets`. The result is finer than `space`, and
+    a topology because `_close_family` returns a closed family."""
     extras = []
     for raw in extra_sets:
         s = frozenset(raw)
@@ -170,17 +185,22 @@ def generate_topology(space: FiniteSpace, extra_sets) -> FiniteSpace:
             raise ValidationError(
                 f"unknown points: {sorted_labels(s - space.points)}")
         extras.append(s)
-    return FiniteSpace(space.points,
-                       _close_family(space.points, set(space.opens) | set(extras)))
+    return FiniteSpace._trusted(
+        space.points,
+        _close_family(space.points, set(space.opens) | set(extras)))
 
 
 def subspace(space: FiniteSpace, region) -> FiniteSpace:
-    """Subspace topology on `region`: traces of the ambient opens."""
+    """Subspace topology on `region`: traces of the ambient opens.
+
+    The traces form a topology on any region: tracing commutes with
+    union and intersection, the empty set traces to itself and the whole
+    space to the region. So the result needs no law check."""
     reg = frozenset(region)
     if not reg <= space.points:
         raise ValidationError(
             f"unknown points: {sorted_labels(reg - space.points)}")
-    return FiniteSpace(reg, frozenset(o & reg for o in space.opens))
+    return FiniteSpace._trusted(reg, frozenset(o & reg for o in space.opens))
 
 
 def is_finer(finer: FiniteSpace, coarser: FiniteSpace) -> bool:

@@ -4,7 +4,8 @@ import locglob as lg
 from locglob.errors import ResourceLimitError, ValidationError
 from locglob.oracle import (_enumerate_by_subset_filter,
                             cross_check_enumeration, cross_check_glob,
-                            glob_by_refinements, glob_by_subgroupoid_defn)
+                            glob_by_refinements, glob_by_subgroupoid_defn,
+                            totally_coherent_by_scan)
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -142,3 +143,22 @@ def test_suite_sections_round_trip_through_oracles(suite36):
         count += 1
     assert count == sum(len(i.sections) for i in suite36.instances)
     assert count >= 300
+
+
+def test_total_coherence_lemma_matches_scan(suite36):
+    # every section and its restriction to each member of its minimal
+    # cover: the lemma answer equals the open-by-open scan
+    checked = 0
+    for inst, section, _ in suite36.iter_sections():
+        cover = {inst.space.minimal_open(x) for x in inst.space.points}
+        for s in [section] + [lg.restrict_section(section, v) for v in cover]:
+            scanned = totally_coherent_by_scan(s)
+            assert scanned == (True, None)
+            assert lg.is_totally_coherent(s) == scanned
+            checked += 1
+    assert checked > 369
+
+
+def test_total_coherence_scan_guard(s_nc):
+    with pytest.raises(ResourceLimitError, match="cap of 4"):
+        totally_coherent_by_scan(s_nc, max_opens=4)
