@@ -272,26 +272,26 @@ def restrict_wide(h: WideSubgroupoid, region) -> WideSubgroupoid:
 
 def _arrow_closure(g: Groupoid, base: frozenset, seed) -> frozenset:
     """Least arrow set over `base` containing the base identities and
-    `seed`, closed under inverse and composition. Worklist fixpoint."""
+    `seed`, closed under inverse and composition. Worklist fixpoint: the
+    identities are closed already, and each further arrow is inverted
+    and composed with the taken arrows that meet it end to end, so only
+    composable pairs are visited."""
+    source, target, table = g.source, g.target, g.table
     current = {g.identity[u] for u in base}
-    current.update(seed)
-    grew = True
-    while grew:
-        grew = False
-        items = list(current)
-        for a in items:
-            b = g.inverse[a]
-            if b not in current:
-                current.add(b)
-                grew = True
-        items = list(current)
-        for a in items:
-            for b in items:
-                if g.target[a] == g.source[b]:
-                    c = g.table[(a, b)]
-                    if c not in current:
-                        current.add(c)
-                        grew = True
+    leaving = {u: [g.identity[u]] for u in base}    # taken, by source
+    entering = {u: [g.identity[u]] for u in base}   # taken, by target
+    todo = list(seed)
+    while todo:
+        a = todo.pop()
+        if a in current:
+            continue
+        current.add(a)
+        s, t = source[a], target[a]
+        leaving[s].append(a)
+        entering[t].append(a)
+        todo.append(g.inverse[a])
+        todo += [table[a, b] for b in leaving[t]]
+        todo += [table[b, a] for b in entering[s]]
     return frozenset(current)
 
 

@@ -170,6 +170,37 @@ def totally_coherent_by_scan(section: LocalSubgroupoid,
     return True, None
 
 
+def close_family(points, sets) -> frozenset:
+    """Least family containing `sets`, the empty set and `points`, closed
+    under pairwise union and intersection: a topology straight from its
+    definition. Plain fixpoint over the whole family; twin of the
+    minimal-neighbourhood builders in `spaces` (`space_from_basis`,
+    `generate_topology`, `FiniteSpace.opens`)."""
+    family = {frozenset(), frozenset(points)}
+    family.update(frozenset(s) for s in sets)
+    grew = True
+    while grew:
+        grew = False
+        members = list(family)
+        for a, b in itertools.combinations(members, 2):
+            for c in (a | b, a & b):
+                if c not in family:
+                    family.add(c)
+                    grew = True
+    return frozenset(family)
+
+
+def relative_openness_by_traces(space: FiniteSpace, part, whole) -> tuple:
+    """(relatively open, relatively closed) for `part` inside `whole`,
+    straight from the subspace topology: some open set of the space
+    traces `part` on `whole`, or traces its complement there. Twin of
+    `spaces.relative_openness`."""
+    a = frozenset(part)
+    m = frozenset(whole)
+    return (any(o & m == a for o in space.opens),
+            any(o & m == m - a for o in space.opens))
+
+
 def connected_by_partition(space: FiniteSpace, subset,
                            max_points: int = 20) -> bool:
     """Connectivity by exhaustive search for a clopen split: a subset is

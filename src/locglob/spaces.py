@@ -2,25 +2,27 @@
 
 Everything in this package runs over finite point sets, and a finite
 space is automatically Alexandrov: the open family is closed under all
-intersections, so every point has a smallest open neighbourhood. That
-neighbourhood is what makes germ computations over the space exact, and
-the whole package leans on it.
+intersections, so every point x has a smallest open neighbourhood m(x).
+That neighbourhood is what makes germ computations over the space
+exact, and the whole package leans on it.
 
-A space stores its complete open family explicitly. Bases are a
-constructor input only. The public constructor checks the topology
-laws; the family-closing and trace operations below build their
-results unchecked, because those results are topologies by
-construction.
+A finite topology is the same thing as its specialisation preorder
+(y lies in m(x)), so a space stores only its points and m(x), and each
+operation below is a one-line lemma on them; the open family is listed
+on demand, up to MAX_OPENS sets. The public constructor checks the
+topology laws; the builders below skip the check, because their m(x)
+are minimal neighbourhoods by construction.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .unionfind import UnionFind
+
+# the open family has up to 2^n members; past this many it is not listed
+MAX_OPENS = 1 << 16
 
 
 def label_key(label) -> str:
@@ -42,72 +44,72 @@ def sorted_sets(sets) -> list:
     return sorted(sets, key=set_key)
 
 
-def _close_family(points, sets):
-    """Least family containing `sets`, the empty set and `points`, closed
-    under pairwise union and intersection. Plain fixpoint; families here
-    are tiny."""
-    family = {frozenset(), frozenset(points)}
-    family.update(frozenset(s) for s in sets)
-    grew = True
-    while grew:
-        grew = False
-        members = list(family)
-        for a, b in itertools.combinations(members, 2):
-            for c in (a | b, a & b):
-                if c not in family:
-                    family.add(c)
-                    grew = True
-    return frozenset(family)
-
-
-@dataclass(frozen=True)
 class FiniteSpace:
-    """A finite point set with its full family of open sets."""
+    """A finite point set with its topology, held as the minimal open
+    neighbourhood m(x) of every point. The constructor takes the full
+    open family and checks the topology laws on it."""
 
-    points: frozenset
-    opens: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", frozenset(self.points))
-        object.__setattr__(self, "opens",
-                           frozenset(frozenset(o) for o in self.opens))
-        for o in self.opens:
-            if not o <= self.points:
-                bad = sorted_labels(o - self.points)
+    def __init__(self, points, opens):
+        points = frozenset(points)
+        family = frozenset(frozenset(o) for o in opens)
+        for o in family:
+            if not o <= points:
+                bad = sorted_labels(o - points)
                 raise ValidationError(f"open set contains unknown labels: {bad}")
-        if frozenset() not in self.opens or self.points not in self.opens:
+        if frozenset() not in family or points not in family:
             raise ValidationError(
                 "opens must contain the empty set and the full point set")
-        for a, b in itertools.combinations(self.opens, 2):
-            if a | b not in self.opens:
+        # a topology holds every m(x) (intersection) and o | m(x) for each
+        # of its opens o (union: opens are unions of minimal neighbourhoods)
+        minimal = {x: points.intersection(*(o for o in family if x in o))
+                   for x in points}
+        for x in sorted_labels(points):
+            if minimal[x] not in family:
                 raise ValidationError(
-                    f"opens not closed under union: "
-                    f"{sorted_labels(a)} with {sorted_labels(b)}")
-            if a & b not in self.opens:
-                raise ValidationError(
-                    f"opens not closed under intersection: "
-                    f"{sorted_labels(a)} with {sorted_labels(b)}")
+                    f"opens not closed under intersection: the opens "
+                    f"containing {x!r} meet in {sorted_labels(minimal[x])}")
+        for o in sorted_sets(family):
+            for x in sorted_labels(points):
+                if o | minimal[x] not in family:
+                    raise ValidationError(
+                        f"opens not closed under union: {sorted_labels(o)} "
+                        f"with {sorted_labels(minimal[x])}")
+        self.points = points
+        self._minimal = minimal
 
     @classmethod
-    def _trusted(cls, points: frozenset, opens: frozenset) -> FiniteSpace:
-        """Build without checking the topology laws. Only for families
-        a lemma proves to be topologies; both arguments must already be
-        frozensets (of frozensets)."""
+    def _trusted(cls, points: frozenset, minimal: dict) -> FiniteSpace:
+        """Build without checking. Only for a fresh dict that a lemma
+        proves to be minimal neighbourhoods: x lies in m(x) inside
+        `points`, and m(y) lies in m(x) for every y in m(x)."""
         space = object.__new__(cls)
-        object.__setattr__(space, "points", points)
-        object.__setattr__(space, "opens", opens)
+        space.points = points
+        space._minimal = minimal
         return space
 
+    def __eq__(self, other):
+        if not isinstance(other, FiniteSpace):
+            return NotImplemented
+        return self.points == other.points and self._minimal == other._minimal
+
+    def __hash__(self):
+        return self._hash
+
     @cached_property
-    def _minimal(self) -> dict:
-        out = {}
-        for x in self.points:
-            acc = None
-            for o in self.opens:
-                if x in o:
-                    acc = o if acc is None else acc & o
-            out[x] = acc
-        return out
+    def _hash(self) -> int:
+        return hash((self.points, frozenset(self._minimal.items())))
+
+    @cached_property
+    def opens(self) -> frozenset:
+        """Every open set: the unions of minimal neighbourhoods, grown by
+        one m(x) at a time. Raises once the family passes MAX_OPENS."""
+        family = {frozenset()}
+        for m in set(self._minimal.values()):
+            family |= {o | m for o in family}
+            if len(family) > MAX_OPENS:
+                raise ResourceLimitError(
+                    f"more than {MAX_OPENS} open sets, too many to list")
+        return frozenset(family)
 
     def minimal_open(self, x) -> frozenset:
         """Smallest open neighbourhood of x: the intersection of every
@@ -117,15 +119,23 @@ class FiniteSpace:
         return self._minimal[x]
 
     def is_open(self, subset) -> bool:
-        return frozenset(subset) in self.opens
+        """U is open iff m(x) lies in U for every x in U."""
+        u = frozenset(subset)
+        minimal = self._minimal
+        for x in u:
+            m = minimal.get(x)
+            if m is None or not m <= u:
+                return False
+        return True
 
 
 def space_from_basis(points, basis) -> FiniteSpace:
-    """Generate the topology from basis sets by closing under union and
-    intersection and adding the empty and full sets. The closed family
-    is a topology by construction, so only the labels are checked."""
+    """The topology generated by basis sets: the closure of the basis
+    under union and intersection, with the empty and full sets. Its m(x)
+    is the point set cut down by every basis set containing x, so only
+    the labels are checked."""
     pts = frozenset(points)
-    sets = []
+    minimal = dict.fromkeys(pts, pts)
     for raw in basis:
         s = frozenset(raw)
         unknown = s - pts
@@ -133,8 +143,9 @@ def space_from_basis(points, basis) -> FiniteSpace:
             raise ValidationError(
                 f"basis set {sorted_labels(s)} contains unknown label "
                 f"{sorted_labels(unknown)[0]!r}")
-        sets.append(s)
-    return FiniteSpace._trusted(pts, _close_family(pts, sets))
+        for x in s:
+            minimal[x] &= s
+    return FiniteSpace._trusted(pts, minimal)
 
 
 def enumerate_opens(space: FiniteSpace) -> list:
@@ -161,49 +172,45 @@ def connected_components(space: FiniteSpace, subset) -> frozenset:
 
 def relative_openness(space: FiniteSpace, part, whole) -> tuple:
     """(relatively open, relatively closed) for `part` inside `whole`,
-    in the subspace topology on `whole`."""
+    in the subspace topology on `whole`: open iff m(x) & whole lies in
+    `part` for every x in `part`, closed iff the complement is open."""
     a = frozenset(part)
     m = frozenset(whole)
     if not a <= m:
         raise ValidationError("part must lie inside the ambient subset")
-    if not m <= space.points:
-        raise ValidationError(
-            f"unknown points: {sorted_labels(m - space.points)}")
-    rel_open = any(o & m == a for o in space.opens)
-    rel_closed = any(o & m == m - a for o in space.opens)
-    return rel_open, rel_closed
+    sub = subspace(space, m)
+    return sub.is_open(a), sub.is_open(m - a)
 
 
 def generate_topology(space: FiniteSpace, extra_sets) -> FiniteSpace:
     """Smallest topology on the same points containing the current opens
-    and every set in `extra_sets`. The result is finer than `space`, and
-    a topology because `_close_family` returns a closed family."""
-    extras = []
+    and every set in `extra_sets`: m(x) cut down by every extra set
+    containing x. The result is finer than `space`."""
+    minimal = dict(space._minimal)
     for raw in extra_sets:
         s = frozenset(raw)
         if not s <= space.points:
             raise ValidationError(
                 f"unknown points: {sorted_labels(s - space.points)}")
-        extras.append(s)
-    return FiniteSpace._trusted(
-        space.points,
-        _close_family(space.points, set(space.opens) | set(extras)))
+        for x in s:
+            minimal[x] &= s
+    return FiniteSpace._trusted(space.points, minimal)
 
 
 def subspace(space: FiniteSpace, region) -> FiniteSpace:
-    """Subspace topology on `region`: traces of the ambient opens.
-
-    The traces form a topology on any region: tracing commutes with
-    union and intersection, the empty set traces to itself and the whole
-    space to the region. So the result needs no law check."""
+    """Subspace topology on `region`: its opens are the traces of the
+    ambient opens, so the trace m(x) & region is the minimal
+    neighbourhood of x in it."""
     reg = frozenset(region)
     if not reg <= space.points:
         raise ValidationError(
             f"unknown points: {sorted_labels(reg - space.points)}")
-    return FiniteSpace._trusted(reg, frozenset(o & reg for o in space.opens))
+    return FiniteSpace._trusted(
+        reg, {x: space._minimal[x] & reg for x in reg})
 
 
 def is_finer(finer: FiniteSpace, coarser: FiniteSpace) -> bool:
     """True when both spaces share points and every open of `coarser` is
-    open in `finer`."""
-    return finer.points == coarser.points and coarser.opens <= finer.opens
+    open in `finer`: m(x) in `finer` lies in m(x) in `coarser`."""
+    return finer.points == coarser.points and all(
+        finer._minimal[x] <= coarser._minimal[x] for x in finer.points)

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 
 import pytest
@@ -59,3 +60,10 @@ def suite36():
 
 def fixture_path(name: str) -> str:
     return str(FIXTURE_DIR / name)
+
+
+def subsets(points) -> list:
+    """Every subset of `points`, by size, then by sorted labels."""
+    labels = sorted(points)
+    return [frozenset(c) for k in range(len(labels) + 1)
+            for c in itertools.combinations(labels, k)]

@@ -212,3 +212,19 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["coherence"]["globally_coherent"] is True
+
+
+def test_analyze_exits_3_when_the_open_family_is_too_large(tmp_path, capsys):
+    # a 40-point discrete space has 2^40 opens; analyze must trip the
+    # enumeration bound instead of listing them
+    points = [f"p{i:02d}" for i in range(40)]
+    trivial = {"elements": ["e"], "unit": "e", "mul": [["e", "e", "e"]]}
+    doc = {"space": {"points": points, "basis": [[x] for x in points]},
+           "groupoid": {"kind": "bundle",
+                        "fibers": {x: trivial for x in points}},
+           "subgroupoid": {"base": points, "arrows": []}}
+    path = tmp_path / "discrete40.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["analyze", "--input", str(path), "--format", "json"])
+    assert code == 3
+    assert "open sets" in capsys.readouterr().err

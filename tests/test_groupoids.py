@@ -9,6 +9,10 @@ from locglob.errors import (AssociativityError, EndpointMismatchError,
 
 PAIR4 = lg.pair_groupoid({"1", "2", "3", "4"})
 NON_ID4 = sorted(PAIR4.arrow_ids - PAIR4.identity_ids)
+# non-abelian enough for closure: composites in either order differ
+REL3_Z3 = lg.rel_times_group(
+    lg.full_wide(lg.pair_groupoid({"1", "2", "3"}), {"1", "2", "3"}),
+    lg.cyclic_group(3))
 
 
 def _perturbed_pair(**overrides):
@@ -125,13 +129,23 @@ def test_generate_wide_example():
     assert two.arrows == frozenset({"1:1", "2:2", "3:3", "1:2", "2:1"})
 
 
+@st.composite
+def seeded_groupoids(draw):
+    g = draw(st.sampled_from([PAIR4, REL3_Z3]))
+    free = sorted(g.arrow_ids - g.identity_ids)
+    return g, draw(st.frozensets(st.sampled_from(free)))
+
+
 @settings(max_examples=100, deadline=None)
-@given(seed=st.frozensets(st.sampled_from(NON_ID4)))
-def test_generate_wide_laws(seed):
-    base = PAIR4.objects
-    h = lg.generate_wide(PAIR4, base, seed)
+@given(seeded_groupoids())
+def test_generate_wide_laws(case):
+    g, seed = case
+    base = g.objects
+    h = lg.generate_wide(g, base, seed)
     assert seed <= h.arrows
-    again = lg.generate_wide(PAIR4, base, h.arrows)
+    # the public constructor re-checks identities, inverses, composites
+    assert lg.WideSubgroupoid(g, base, h.arrows) == h
+    again = lg.generate_wide(g, base, h.arrows)
     assert again == h
 
 

@@ -2,10 +2,14 @@ import pytest
 
 import locglob as lg
 from locglob.errors import ResourceLimitError, ValidationError
-from locglob.oracle import (_enumerate_by_subset_filter,
-                            cross_check_enumeration, cross_check_glob,
-                            glob_by_refinements, glob_by_subgroupoid_defn,
+from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
+                            close_family, cross_check_enumeration,
+                            cross_check_glob, glob_by_refinements,
+                            glob_by_subgroupoid_defn,
+                            relative_openness_by_traces,
                             totally_coherent_by_scan)
+
+from conftest import subsets
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -162,3 +166,31 @@ def test_total_coherence_lemma_matches_scan(suite36):
 def test_total_coherence_scan_guard(s_nc):
     with pytest.raises(ResourceLimitError, match="cap of 4"):
         totally_coherent_by_scan(s_nc, max_opens=4)
+
+
+def test_space_operations_match_explicit_families():
+    # every topology on 1 to 4 points, built from its explicit family,
+    # against the family-level definitions of each operation
+    spaces = [s for n in range(1, 5) for s in all_topologies(n)]
+    assert len(spaces) == 389
+    for space in spaces:
+        points = space.points
+        minimal = [space.minimal_open(x) for x in points]
+        assert space.opens == close_family(points, minimal)
+        rebuilt = lg.space_from_basis(points, minimal)
+        assert rebuilt == space and rebuilt.opens == space.opens
+        for e in subsets(points):
+            finer = lg.generate_topology(space, [e])
+            assert finer.opens == close_family(points, space.opens | {e})
+            region = lg.subspace(space, e)
+            assert region.opens == frozenset(o & e for o in space.opens)
+            for part in subsets(e):
+                assert (lg.relative_openness(space, part, e)
+                        == relative_openness_by_traces(space, part, e))
+    for n in range(1, 5):
+        same_points = [s for s in spaces if len(s.points) == n]
+        for finer in same_points:
+            for coarser in same_points:
+                assert (lg.is_finer(finer, coarser)
+                        == (coarser.opens <= finer.opens))
+

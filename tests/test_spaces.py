@@ -1,10 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import locglob as lg
 from locglob.errors import ResourceLimitError, ValidationError
 from locglob.oracle import all_topologies, connected_by_partition
+from locglob.spaces import MAX_OPENS
+
+from conftest import subsets
 
 
 def test_space_requires_empty_and_full():
@@ -19,6 +24,14 @@ def test_space_rejects_union_gap():
     opens = frozenset({frozenset(), frozenset({"1"}), frozenset({"2"}),
                        frozenset({"1", "2", "3"})})
     with pytest.raises(ValidationError, match="union"):
+        lg.FiniteSpace(frozenset({"1", "2", "3"}), opens)
+
+
+def test_space_rejects_intersection_gap():
+    # {1, 2} and {2, 3} are closed under union but meet in the missing {2}
+    opens = frozenset({frozenset(), frozenset({"1", "2"}),
+                       frozenset({"2", "3"}), frozenset({"1", "2", "3"})})
+    with pytest.raises(ValidationError, match="intersection"):
         lg.FiniteSpace(frozenset({"1", "2", "3"}), opens)
 
 
@@ -116,3 +129,65 @@ def test_all_topologies_counts():
     assert len(all_topologies(4)) == 355
     with pytest.raises(ResourceLimitError):
         all_topologies(5)
+
+
+def _is_pairwise_topology(points, family) -> bool:
+    """The definition: the empty and full sets, and closure under
+    pairwise union and intersection."""
+    return (frozenset() in family and points in family
+            and all(a | b in family and a & b in family
+                    for a, b in itertools.combinations(family, 2)))
+
+
+def _constructor_accepts(points, family) -> bool:
+    try:
+        space = lg.FiniteSpace(points, family)
+    except ValidationError:
+        return False
+    assert space.opens == family
+    return True
+
+
+def test_constructor_check_matches_pairwise_definition_exhaustively():
+    # every family of subsets of at most 3 points
+    for n in range(4):
+        points = frozenset(str(i) for i in range(n))
+        candidates = subsets(points)
+        for bits in itertools.product((False, True), repeat=len(candidates)):
+            family = frozenset(s for s, bit in zip(candidates, bits) if bit)
+            assert (_constructor_accepts(points, family)
+                    == _is_pairwise_topology(points, family))
+
+
+@st.composite
+def families(draw):
+    points = frozenset(str(i) for i in range(draw(st.integers(1, 4))))
+    family = set(draw(st.sets(st.sampled_from(subsets(points)))))
+    # bias towards near-topologies, where the interesting rejections are
+    if draw(st.booleans()):
+        family |= {frozenset(), points}
+    return points, frozenset(family)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_constructor_check_matches_pairwise_definition(case):
+    points, family = case
+    assert (_constructor_accepts(points, family)
+            == _is_pairwise_topology(points, family))
+
+
+def test_large_discrete_space_answers_without_listing_opens():
+    # 2^40 opens: everything but the open family itself is immediate
+    points = [f"p{i:02d}" for i in range(40)]
+    space = lg.space_from_basis(points, [[x] for x in points])
+    assert all(space.minimal_open(x) == {x} for x in points)
+    assert space.is_open(points[:20])
+    assert not space.is_open(points[:20] + ["q"])
+    sub = lg.subspace(space, points[:30])
+    assert sub.minimal_open("p00") == {"p00"}
+    assert lg.relative_openness(space, points[:7], points[:30]) == (True, True)
+    assert len(lg.connected_components(space, space.points)) == 40
+    assert lg.is_finer(space, lg.space_from_basis(points, []))
+    with pytest.raises(ResourceLimitError, match=str(MAX_OPENS)):
+        space.opens

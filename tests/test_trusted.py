@@ -8,14 +8,17 @@ run past the 4-point cap of the generated suite: random preorders on
 5 to 7 points, given by their minimal opens, with a pair groupoid or a
 bundle of order-two groups and random seed arrows. Every trusted output
 must pass its public constructor unchanged, and the total-coherence
-lemma must agree with the open-by-open scan.
+lemma must agree with the open-by-open scan. On preorders of 5 to 8
+points the minimal-neighbourhood operations of `spaces` must agree with
+their explicit-family definitions in `oracle`.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locglob as lg
-from locglob.oracle import totally_coherent_by_scan
+from locglob.oracle import (close_family, relative_openness_by_traces,
+                            totally_coherent_by_scan)
 
 
 def _up_closure(points, edges) -> dict:
@@ -34,12 +37,18 @@ def _up_closure(points, edges) -> dict:
 
 
 @st.composite
-def instances(draw):
-    n = draw(st.integers(5, 7))
+def preorders(draw, min_points, max_points):
+    """Points and minimal opens of a random preorder."""
+    n = draw(st.integers(min_points, max_points))
     points = [str(i) for i in range(1, n + 1)]
     pairs = [(x, y) for x in points for y in points if x != y]
     edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
-    minimal = _up_closure(points, edges)
+    return points, _up_closure(points, edges)
+
+
+@st.composite
+def instances(draw):
+    points, minimal = draw(preorders(5, 7))
     space = lg.space_from_basis(points, list(minimal.values()))
     if draw(st.booleans()):
         g = lg.pair_groupoid(points)
@@ -117,3 +126,33 @@ def test_total_coherence_lemma_matches_scan_past_the_cap(case):
     section = lg.loc(space, lg.generate_wide(g, space.points, seed))
     for s in (section, lg.restrict_section(section, some_open)):
         assert lg.is_totally_coherent(s) == totally_coherent_by_scan(s)
+
+
+@st.composite
+def spaces_with_subsets(draw):
+    points, minimal = draw(preorders(5, 8))
+    subset = st.sets(st.sampled_from(points))
+    extras = draw(st.lists(subset, max_size=3))
+    whole = draw(subset)
+    part = draw(st.sets(st.sampled_from(sorted(whole)))) if whole else set()
+    return points, minimal, extras, whole, part
+
+
+@settings(max_examples=60, deadline=None)
+@given(spaces_with_subsets())
+def test_space_operations_match_explicit_families(case):
+    points, minimal, extras, whole, part = case
+    space = lg.space_from_basis(points, list(minimal.values()))
+    family = close_family(points, minimal.values())
+    assert space.opens == family
+    assert space == lg.FiniteSpace(points, family)
+    finer = lg.generate_topology(space, extras)
+    assert finer.opens == close_family(points, set(family) | {
+        frozenset(e) for e in extras})
+    assert lg.is_finer(finer, space)
+    assert lg.is_finer(space, finer) == (finer.opens <= family)
+    region = frozenset(whole)
+    assert lg.subspace(space, region).opens == frozenset(
+        o & region for o in family)
+    assert (lg.relative_openness(space, part, whole)
+            == relative_openness_by_traces(space, part, whole))
