@@ -32,6 +32,23 @@ def _non_identity_arrows(g: Groupoid, base: frozenset) -> list:
                   key=label_key)
 
 
+def full_restriction_by_filter(g: Groupoid, region) -> Groupoid:
+    """The groupoid of all arrows of g that start and end in `region`,
+    its table filtered from the whole composition table of g. Twin of
+    `groupoids.full_restriction`."""
+    reg = frozenset(region)
+    keep = g.arrows_within(reg)
+    return Groupoid(
+        objects=reg,
+        source={a: g.source[a] for a in keep},
+        target={a: g.target[a] for a in keep},
+        identity={x: g.identity[x] for x in reg},
+        inverse={a: g.inverse[a] for a in keep},
+        table={pair: c for pair, c in g.table.items()
+               if pair[0] in keep and pair[1] in keep},
+    )
+
+
 def enumerate_wide_subgroupoids(g: Groupoid, base,
                                 max_arrows: int = DEFAULT_ARROW_BOUND) -> list:
     """All wide subgroupoids of g restricted to `base`, in deterministic
@@ -166,6 +183,19 @@ def totally_coherent_by_scan(section: LocalSubgroupoid,
             f"{len(opens)} open sets exceeds the configured cap of {max_opens}")
     for u in opens:
         if not coherence_report(restrict_section(section, u)).coherent:
+            return False, u
+    return True, None
+
+
+def restriction_global_coherence_by_scan(section: LocalSubgroupoid):
+    """Global coherence on every open set straight from its definition:
+    restrict the section to every open set, in `enumerate_opens` order,
+    and compare it with its globalisation; (flag, first failing open or
+    None). Twin of the restriction-global-coherence conclusion of
+    `coherence.verify_restriction_coherence`, which answers by a lemma."""
+    for u in enumerate_opens(section.space):
+        if not coherence_report(
+                restrict_section(section, u)).globally_coherent:
             return False, u
     return True, None
 

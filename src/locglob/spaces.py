@@ -105,10 +105,11 @@ class FiniteSpace:
         one m(x) at a time. Raises once the family passes MAX_OPENS."""
         family = {frozenset()}
         for m in set(self._minimal.values()):
-            family |= {o | m for o in family}
-            if len(family) > MAX_OPENS:
-                raise ResourceLimitError(
-                    f"more than {MAX_OPENS} open sets, too many to list")
+            for o in list(family):
+                family.add(o | m)
+                if len(family) > MAX_OPENS:
+                    raise ResourceLimitError(
+                        f"more than {MAX_OPENS} open sets, too many to list")
         return frozenset(family)
 
     def minimal_open(self, x) -> frozenset:

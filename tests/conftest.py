@@ -58,6 +58,11 @@ def suite36():
     return lg.instance_suite(3, 6)
 
 
+@pytest.fixture(scope="session")
+def suite412():
+    return lg.instance_suite(4, 12)
+
+
 def fixture_path(name: str) -> str:
     return str(FIXTURE_DIR / name)
 

@@ -96,6 +96,21 @@ def test_local_connectivity_coherence_vacuous():
     assert report.details["points_without_neighbourhood"] == ["2"]
 
 
+def test_local_connectivity_takes_first_larger_open_in_sorted_order():
+    # m(x) = {a, b, x} splits the component {a, b}; the opens
+    # {a, b, c, x}, {a, b, d, x} and the whole space each join it up
+    # through c or d, and the first of them in sorted order is reported
+    space = lg.space_from_basis(
+        "abcdx", [{"a"}, {"b"}, {"a", "b", "c"}, {"a", "b", "d"},
+                  {"a", "b", "x"}])
+    g = lg.pair_groupoid(space.points)
+    wide = lg.generate_wide(g, g.objects, {"a:b", "a:c", "a:d"})
+    report = lg.verify_local_connectivity_coherence(space, wide)
+    assert report.status == "pass"
+    assert report.details["neighbourhoods"]["x"] == ["a", "b", "c", "x"]
+    assert report.details["neighbourhoods"]["a"] == ["a"]
+
+
 def test_local_connectivity_explicit_choice(sp_sier):
     g = lg.pair_groupoid({"1", "2"})
     wide = lg.full_wide(g, g.objects)

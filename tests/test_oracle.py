@@ -4,12 +4,13 @@ import locglob as lg
 from locglob.errors import ResourceLimitError, ValidationError
 from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
                             close_family, cross_check_enumeration,
-                            cross_check_glob, glob_by_refinements,
-                            glob_by_subgroupoid_defn,
+                            cross_check_glob, full_restriction_by_filter,
+                            glob_by_refinements, glob_by_subgroupoid_defn,
                             relative_openness_by_traces,
+                            restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
 
-from conftest import subsets
+from conftest import fixture_path, subsets
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -161,6 +162,64 @@ def test_total_coherence_lemma_matches_scan(suite36):
             assert lg.is_totally_coherent(s) == scanned
             checked += 1
     assert checked > 369
+
+
+def _restriction_lemma_matches_scan(section) -> bool:
+    """The lemma answer of the restriction-global-coherence checker
+    against the open-by-open scan; returns the common flag."""
+    space = section.space
+    cover = [space.minimal_open(x) for x in space.points]
+    first, _ = lg.verify_restriction_coherence(section, cover)
+    flag, failing = restriction_global_coherence_by_scan(section)
+    assert first.conclusion_holds == flag
+    assert first.counterexample is None
+    assert (failing is None) == flag
+    if not flag:
+        assert space.is_open(failing)
+        assert not lg.coherence_report(
+            lg.restrict_section(section, failing)).globally_coherent
+    return flag
+
+
+def test_restriction_lemma_matches_scan(suite36):
+    flags = [_restriction_lemma_matches_scan(section)
+             for _, section, _ in suite36.iter_sections()]
+    assert len(flags) >= 300 and all(flags)
+
+
+def test_restriction_lemma_matches_scan_where_it_fails(suite412):
+    # the 3,6 and 4,8 suites hold no section that is not globally
+    # coherent; 4,12 holds 72, all over pair groupoids
+    failing = [section for _, section, _ in suite412.iter_sections()
+               if not lg.coherence_report(section).globally_coherent]
+    assert len(failing) == 72
+    assert not any(_restriction_lemma_matches_scan(s) for s in failing)
+
+
+def test_restriction_lemma_matches_scan_on_nc_fixture():
+    parsed = lg.load_instance(fixture_path("nc_pair_atlas.json"))
+    section = lg.section_from_atlas(parsed.atlas)
+    assert not _restriction_lemma_matches_scan(section)
+    # every proper open set restricts to a globally coherent section
+    _, failing = restriction_global_coherence_by_scan(section)
+    assert failing == section.space.points
+
+
+def test_full_restriction_matches_filter():
+    # every region of the 4-point pair groupoid, a Z/2 bundle and a
+    # relation times Z/2
+    points = {"1", "2", "3", "4"}
+    rel = lg.wide_subgroupoid(lg.pair_groupoid(points), points,
+                              {"1:2", "2:1", "3:4", "4:3"})
+    groupoids = [
+        lg.pair_groupoid(points),
+        lg.group_bundle(points, {p: lg.cyclic_group(2) for p in points}),
+        lg.rel_times_group(rel, lg.cyclic_group(2)),
+    ]
+    for g in groupoids:
+        for region in subsets(points):
+            assert (lg.full_restriction(g, region)
+                    == full_restriction_by_filter(g, region))
 
 
 def test_total_coherence_scan_guard(s_nc):

@@ -191,3 +191,26 @@ def test_large_discrete_space_answers_without_listing_opens():
     assert lg.is_finer(space, lg.space_from_basis(points, []))
     with pytest.raises(ResourceLimitError, match=str(MAX_OPENS)):
         space.opens
+
+
+class _CountedUnions(frozenset):
+    """A minimal open that counts the unions `o | m` taken with it."""
+
+    unions = 0
+
+    def __ror__(self, other):
+        _CountedUnions.unions += 1
+        return frozenset.__ror__(self, other)
+
+
+def test_open_listing_stops_as_soon_as_it_passes_the_bound(monkeypatch):
+    # a 6-point discrete space has 64 opens; with a bound of 40 the
+    # listing must stop at the 41st set, not after the doubling to 64
+    monkeypatch.setattr(lg.spaces, "MAX_OPENS", 40)
+    points = frozenset("abcdef")
+    space = lg.FiniteSpace._trusted(
+        points, {x: _CountedUnions({x}) for x in points})
+    _CountedUnions.unions = 0
+    with pytest.raises(ResourceLimitError, match="more than 40 open sets"):
+        space.opens
+    assert _CountedUnions.unions == 40

@@ -7,10 +7,10 @@ skip the law checks, each on the strength of a lemma. These properties
 run past the 4-point cap of the generated suite: random preorders on
 5 to 7 points, given by their minimal opens, with a pair groupoid or a
 bundle of order-two groups and random seed arrows. Every trusted output
-must pass its public constructor unchanged, and the total-coherence
-lemma must agree with the open-by-open scan. On preorders of 5 to 8
-points the minimal-neighbourhood operations of `spaces` must agree with
-their explicit-family definitions in `oracle`.
+must pass its public constructor unchanged, and the total-coherence and
+restriction lemmas must agree with their open-by-open scans. On
+preorders of 5 to 8 points the minimal-neighbourhood operations of
+`spaces` must agree with their explicit-family definitions in `oracle`.
 """
 
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import locglob as lg
 from locglob.oracle import (close_family, relative_openness_by_traces,
+                            restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
 
 
@@ -126,6 +127,19 @@ def test_total_coherence_lemma_matches_scan_past_the_cap(case):
     section = lg.loc(space, lg.generate_wide(g, space.points, seed))
     for s in (section, lg.restrict_section(section, some_open)):
         assert lg.is_totally_coherent(s) == totally_coherent_by_scan(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_restriction_lemma_matches_scan_past_the_cap(case):
+    space, _, g, seed, _, some_open, _ = case
+    section = lg.loc(space, lg.generate_wide(g, space.points, seed))
+    for s in (section, lg.restrict_section(section, some_open)):
+        cover = [s.space.minimal_open(x) for x in s.space.points]
+        first, _ = lg.verify_restriction_coherence(s, cover)
+        flag, _ = restriction_global_coherence_by_scan(s)
+        assert first.conclusion_holds == flag
+        assert first.counterexample is None
 
 
 @st.composite
