@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from .errors import InvariantViolationError, ResourceLimitError, ValidationError
 from .groupoids import (WideSubgroupoid, generate_wide, restrict_wide,
                         transitivity_components)
-from .sections import (Atlas, LocalSubgroupoid, glob, loc, restrict_section,
-                       section_from_atlas)
-from .sections import germ_leq
+from .sections import (Atlas, LocalSubgroupoid, germ_leq, glob, loc,
+                       restrict_section, section_from_atlas)
 from .spaces import (FiniteSpace, connected_components, enumerate_opens,
                      generate_topology, label_key, relative_openness,
                      sorted_labels, sorted_sets)
@@ -139,6 +138,15 @@ def _set_list(sets) -> list:
     return [sorted_labels(s) for s in sorted_sets(sets)]
 
 
+def _open_cover(space: FiniteSpace, cover) -> list:
+    cover_sets = [frozenset(v) for v in cover]
+    if not all(map(space.is_open, cover_sets)):
+        raise ValidationError("cover members must be open sets")
+    if frozenset().union(*cover_sets) != space.points:
+        raise ValidationError("cover must cover the space")
+    return cover_sets
+
+
 def verify_component_clopenness(section: LocalSubgroupoid,
                                 wide: WideSubgroupoid,
                                 cover) -> TheoremReport:
@@ -150,13 +158,7 @@ def verify_component_clopenness(section: LocalSubgroupoid,
     if loc(space, wide) != section:
         raise ValidationError(
             "section must be the germ section of the wide subgroupoid")
-    cover_sets = [frozenset(v) for v in cover]
-    for v in cover_sets:
-        if not space.is_open(v):
-            raise ValidationError("cover members must be open sets")
-    covered = frozenset().union(frozenset(), *cover_sets)
-    if covered != space.points:
-        raise ValidationError("cover must cover the space")
+    cover_sets = _open_cover(space, cover)
     seed = set()
     for v in cover_sets:
         seed |= restrict_wide(wide, v).arrows
@@ -323,32 +325,23 @@ def verify_restriction_coherence(section: LocalSubgroupoid, cover,
     Second: if the section is globally and totally coherent on each
     member of an open cover, it is totally coherent.
 
-    The first conclusion is the section's own global coherence, so that
-    statement never fails. Proof: for opens U <= V, glob(s|U) lies in
-    glob(s|V)|U, a wide subgroupoid over U holding each rep(y), y in U.
-    If s|V is globally coherent and x is in U, then rep(x) <= glob(s|U)|m(x)
+    The first conclusion is the section's own global coherence, so the
+    statement never fails. Proof: for opens U <= V, glob(s|U) <=
+    glob(s|V)|U, which is wide over U and holds each rep(y), y in U. So
+    if s|V is globally coherent and x is in U, rep(x) <= glob(s|U)|m(x)
     <= glob(s|V)|m(x) = rep(x), the first step by the lemma of
-    `is_totally_coherent`. Take V = X. The open-by-open scan this replaces
-    is `oracle.restriction_global_coherence_by_scan`."""
+    `is_totally_coherent`; take V = X. The open-by-open scan is
+    `oracle.restriction_global_coherence_by_scan`."""
     space = section.space
-    cover_sets = [frozenset(v) for v in cover]
-    for v in cover_sets:
-        if not space.is_open(v):
-            raise ValidationError("cover members must be open sets")
-    if frozenset().union(frozenset(), *cover_sets) != space.points:
-        raise ValidationError("cover must cover the space")
-
-    def globally(s):
-        return coherence_report(s).globally_coherent
-
-    conc1 = globally(section)
+    cover_sets = _open_cover(space, cover)
+    conc1 = coherence_report(section).globally_coherent
     hyp1 = conc1 and is_totally_coherent(section, max_opens)[0]
     first = _report("restriction-global-coherence", hyp1, conc1, None,
                     {"opens_checked": len(space.opens)})
 
     restrictions = (restrict_section(section, v) for v in cover_sets)
-    hyp2 = all(globally(r) and is_totally_coherent(r, max_opens)[0]
-               for r in restrictions)
+    hyp2 = all(coherence_report(r).globally_coherent
+               and is_totally_coherent(r, max_opens)[0] for r in restrictions)
     # True by the total-coherence lemma, or ResourceLimitError past the cap
     conc2 = is_totally_coherent(section, max_opens)[0]
     second = _report("restriction-total-coherence", hyp2, conc2, None,

@@ -243,17 +243,14 @@ def full_restriction(g: Groupoid, region) -> Groupoid:
         raise ValidationError(
             f"unknown objects: {sorted_labels(reg - g.objects)}")
     keep = g.arrows_within(reg)
-    leaving = {x: [] for x in reg}  # kept arrows by source
-    for a in keep:
-        leaving[g.source[a]].append(a)
     return Groupoid(
         objects=reg,
         source={a: g.source[a] for a in keep},
         target={a: g.target[a] for a in keep},
         identity={x: g.identity[x] for x in reg},
         inverse={a: g.inverse[a] for a in keep},
-        table={(a, b): g.table[a, b]
-               for a in keep for b in leaving[g.target[a]]},
+        table={pair: c for pair, c in g.table.items()
+               if pair[0] in keep and pair[1] in keep},
     )
 
 

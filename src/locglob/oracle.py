@@ -32,23 +32,6 @@ def _non_identity_arrows(g: Groupoid, base: frozenset) -> list:
                   key=label_key)
 
 
-def full_restriction_by_filter(g: Groupoid, region) -> Groupoid:
-    """The groupoid of all arrows of g that start and end in `region`,
-    its table filtered from the whole composition table of g. Twin of
-    `groupoids.full_restriction`."""
-    reg = frozenset(region)
-    keep = g.arrows_within(reg)
-    return Groupoid(
-        objects=reg,
-        source={a: g.source[a] for a in keep},
-        target={a: g.target[a] for a in keep},
-        identity={x: g.identity[x] for x in reg},
-        inverse={a: g.inverse[a] for a in keep},
-        table={pair: c for pair, c in g.table.items()
-               if pair[0] in keep and pair[1] in keep},
-    )
-
-
 def enumerate_wide_subgroupoids(g: Groupoid, base,
                                 max_arrows: int = DEFAULT_ARROW_BOUND) -> list:
     """All wide subgroupoids of g restricted to `base`, in deterministic

@@ -214,9 +214,8 @@ def test_module_entry_point():
     assert doc["coherence"]["globally_coherent"] is True
 
 
-def test_analyze_exits_3_when_the_open_family_is_too_large(tmp_path, capsys):
-    # a 40-point discrete space has 2^40 opens; analyze must trip the
-    # enumeration bound instead of listing them
+def _discrete40(tmp_path):
+    # a 40-point discrete space has 2^40 opens, far past spaces.MAX_OPENS
     points = [f"p{i:02d}" for i in range(40)]
     trivial = {"elements": ["e"], "unit": "e", "mul": [["e", "e", "e"]]}
     doc = {"space": {"points": points, "basis": [[x] for x in points]},
@@ -225,6 +224,22 @@ def test_analyze_exits_3_when_the_open_family_is_too_large(tmp_path, capsys):
            "subgroupoid": {"base": points, "arrows": []}}
     path = tmp_path / "discrete40.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code = main(["analyze", "--input", str(path), "--format", "json"])
+    return str(path)
+
+
+def test_analyze_exits_3_when_the_open_family_is_too_large(tmp_path, capsys):
+    # analyze must trip the enumeration bound instead of listing the opens
+    code = main(["analyze", "--input", _discrete40(tmp_path),
+                 "--format", "json"])
     assert code == 3
     assert "open sets" in capsys.readouterr().err
+
+
+def test_verify_exits_3_when_the_open_family_is_too_large(tmp_path, capsys):
+    # every m(x) of a discrete space passes the neighbourhood search, so
+    # the bound trips later in verify, with the same message and code
+    code = main(["verify", "--input", _discrete40(tmp_path),
+                 "--format", "json"])
+    assert code == 3
+    assert ("more than 65536 open sets, too many to list"
+            in capsys.readouterr().err)

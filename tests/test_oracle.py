@@ -4,8 +4,8 @@ import locglob as lg
 from locglob.errors import ResourceLimitError, ValidationError
 from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
                             close_family, cross_check_enumeration,
-                            cross_check_glob, full_restriction_by_filter,
-                            glob_by_refinements, glob_by_subgroupoid_defn,
+                            cross_check_glob, glob_by_refinements,
+                            glob_by_subgroupoid_defn,
                             relative_openness_by_traces,
                             restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
@@ -203,23 +203,6 @@ def test_restriction_lemma_matches_scan_on_nc_fixture():
     # every proper open set restricts to a globally coherent section
     _, failing = restriction_global_coherence_by_scan(section)
     assert failing == section.space.points
-
-
-def test_full_restriction_matches_filter():
-    # every region of the 4-point pair groupoid, a Z/2 bundle and a
-    # relation times Z/2
-    points = {"1", "2", "3", "4"}
-    rel = lg.wide_subgroupoid(lg.pair_groupoid(points), points,
-                              {"1:2", "2:1", "3:4", "4:3"})
-    groupoids = [
-        lg.pair_groupoid(points),
-        lg.group_bundle(points, {p: lg.cyclic_group(2) for p in points}),
-        lg.rel_times_group(rel, lg.cyclic_group(2)),
-    ]
-    for g in groupoids:
-        for region in subsets(points):
-            assert (lg.full_restriction(g, region)
-                    == full_restriction_by_filter(g, region))
 
 
 def test_total_coherence_scan_guard(s_nc):
