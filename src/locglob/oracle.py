@@ -15,13 +15,14 @@ from .coherence import coherence_report
 from .errors import (InvariantViolationError, ResourceLimitError,
                      ValidationError)
 from .groupoids import (Groupoid, WideSubgroupoid, _arrow_closure,
-                        cyclic_group, group_bundle, intersect_wide,
-                        pair_groupoid, restrict_wide)
-from .sections import (Atlas, LocalSubgroupoid, canonical_atlas, germ_at,
-                       glob, loc, restrict_section, section_from_atlas,
-                       section_leq)
+                        cyclic_group, generate_wide, group_bundle,
+                        intersect_wide, pair_groupoid, restrict_wide,
+                        transitivity_components)
+from .sections import (Atlas, LocalSubgroupoid, germ_at, glob, loc,
+                       restrict_section, section_from_atlas, section_leq)
 from .spaces import (FiniteSpace, connected_components, enumerate_opens,
-                     label_key, relative_openness, set_key, sorted_labels)
+                     label_key, relative_openness, set_key, sorted_labels,
+                     sorted_sets)
 
 DEFAULT_ARROW_BOUND = 16
 
@@ -180,6 +181,38 @@ def restriction_global_coherence_by_scan(section: LocalSubgroupoid):
         if not coherence_report(
                 restrict_section(section, u)).globally_coherent:
             return False, u
+    return True, None
+
+
+def component_clopenness_by_scan(section: LocalSubgroupoid,
+                                 wide: WideSubgroupoid, cover):
+    """Component clopenness straight from its definition: generate the
+    subgroupoid from the restrictions of `wide` to the cover members and
+    test each of its components, in sorted order, for relative openness
+    and closedness inside the component of `wide` holding it; (flag,
+    first certificate or None). Twin of the conclusion of
+    `coherence.verify_component_clopenness`, which answers by a lemma."""
+    space = section.space
+    seed = set()
+    for v in cover:
+        seed |= restrict_wide(wide, frozenset(v)).arrows
+    generated = generate_wide(wide.parent, space.points, seed)
+    ambient = {x: comp
+               for comp in transitivity_components(wide) for x in comp}
+    for comp in sorted_sets(transitivity_components(generated)):
+        container = ambient[next(iter(comp))]
+        if not comp <= container:
+            raise InvariantViolationError(
+                "component of the generated subgroupoid escapes its "
+                "ambient component")
+        rel_open, rel_closed = relative_openness(space, comp, container)
+        if not (rel_open and rel_closed):
+            return False, {
+                "component": sorted_labels(comp),
+                "ambient_component": sorted_labels(container),
+                "relatively_open": rel_open,
+                "relatively_closed": rel_closed,
+            }
     return True, None
 
 
@@ -360,12 +393,11 @@ def _build_instance(space, g, kind, max_extra_arrows) -> Instance:
     return Instance(space, g, kind, tuple(sections), tuple(atlases))
 
 
-def cross_check_glob(section: LocalSubgroupoid, atlas: Atlas | None = None,
+def cross_check_glob(section: LocalSubgroupoid, atlas: Atlas,
                      max_arrows: int = DEFAULT_ARROW_BOUND) -> WideSubgroupoid:
     """Three-way comparison of the globalisation: fast closure against
-    both oracles. Raises on any disagreement; returns the common value."""
-    if atlas is None:
-        atlas = canonical_atlas(section)
+    both oracles, the refinement oracle over the given defining atlas.
+    Raises on any disagreement; returns the common value."""
     fast = glob(section)
     by_defn = glob_by_subgroupoid_defn(section, max_arrows)
     by_refn = glob_by_refinements(section, atlas)

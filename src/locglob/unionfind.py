@@ -9,9 +9,6 @@ class UnionFind:
     def __init__(self, items=()):
         self.parent = {x: x for x in items}
 
-    def add(self, item):
-        self.parent.setdefault(item, item)
-
     def find(self, item):
         root = item
         while self.parent[root] != root:

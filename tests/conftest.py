@@ -4,6 +4,8 @@ import pathlib
 import pytest
 
 import locglob as lg
+from locglob.oracle import (component_clopenness_by_scan,
+                            restriction_global_coherence_by_scan)
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 
@@ -72,3 +74,43 @@ def subsets(points) -> list:
     labels = sorted(points)
     return [frozenset(c) for k in range(len(labels) + 1)
             for c in itertools.combinations(labels, k)]
+
+
+def random_open_cover(space, rng) -> list:
+    """Nonempty opens drawn at random, then a random open for each point
+    they leave uncovered."""
+    opens = [o for o in lg.enumerate_opens(space) if o]
+    cover = [o for o in opens if rng.random() < 0.25]
+    for x in sorted(space.points, key=str):
+        if not any(x in o for o in cover):
+            cover.append(rng.choice([o for o in opens if x in o]))
+    return cover
+
+
+def clopenness_twin_agrees(space, wide, cover) -> bool:
+    """Run the component-clopenness checker, which answers by a lemma,
+    and its component-by-component scan on the germ section of `wide`;
+    assert they agree and return the scan's flag."""
+    section = lg.loc(space, wide)
+    report = lg.verify_component_clopenness(section, wide, cover)
+    flag, certificate = component_clopenness_by_scan(section, wide, cover)
+    assert report.conclusion_holds == flag
+    assert report.counterexample == certificate
+    return flag
+
+
+def restriction_lemma_matches_scan(section) -> bool:
+    """The lemma answer of the restriction-global-coherence checker
+    against the open-by-open scan; returns the common flag."""
+    space = section.space
+    cover = [space.minimal_open(x) for x in space.points]
+    first, _ = lg.verify_restriction_coherence(section, cover)
+    flag, failing = restriction_global_coherence_by_scan(section)
+    assert first.conclusion_holds == flag
+    assert first.counterexample is None
+    assert (failing is None) == flag
+    if not flag:
+        assert space.is_open(failing)
+        assert not lg.coherence_report(
+            lg.restrict_section(section, failing)).globally_coherent
+    return flag

@@ -13,7 +13,8 @@ import time
 import pytest
 
 import locglob as lg
-from locglob.oracle import cross_check_glob, glob_by_subgroupoid_defn
+from locglob.oracle import (component_clopenness_by_scan, cross_check_glob,
+                            glob_by_subgroupoid_defn)
 from locglob.instance_io import load_instance, parse_instance, serialize_instance
 from locglob.cli import _section_source
 
@@ -141,6 +142,9 @@ def test_c06_cover_components_relatively_clopen(suite36):
             for cover in covers:
                 report = lg.verify_component_clopenness(section, wide, cover)
                 assert report.status == "pass"
+                # the checker answers by a lemma; its scan must agree
+                assert component_clopenness_by_scan(
+                    section, wide, cover) == (True, None)
                 checks += 1
     assert checks >= 1000
     _ok(6, f"cover components relatively clopen in {checks} checks")

@@ -243,3 +243,33 @@ def test_verify_exits_3_when_the_open_family_is_too_large(tmp_path, capsys):
     assert code == 3
     assert ("more than 65536 open sets, too many to list"
             in capsys.readouterr().err)
+
+
+def _one_point_above_twelve(tmp_path):
+    # twelve isolated points and one point t with m(t) the whole space:
+    # the opens are the 2^12 sets of isolated points and the whole space
+    points = [f"p{i:02d}" for i in range(12)] + ["t"]
+    doc = {"space": {"points": points, "basis": [[x] for x in points[:12]]},
+           "groupoid": {"kind": "pair"},
+           "subgroupoid": {"base": points,
+                           "arrows": [f"{x}:{y}" for x in points
+                                      for y in points if x != y]}}
+    path = tmp_path / "above12.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_4097_opens_are_answered_without_a_cap(tmp_path, capsys):
+    # total coherence is a lemma, so no open-family cap stands between a
+    # space of 4097 opens and its report
+    path = _one_point_above_twelve(tmp_path)
+    assert main(["analyze", "--input", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["space"]["open_sets"] == 4097
+    assert doc["totally_coherent"] is True
+    assert main(["verify", "--input", path, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    by_name = {r["theorem"]: r for r in doc["reports"]}
+    assert by_name["restriction-global-coherence"]["details"] == {
+        "opens_checked": 4097}
+    assert doc["summary"]["counterexample"] == 0

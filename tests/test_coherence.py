@@ -85,6 +85,8 @@ def test_local_connectivity_coherence_pass(sp_sier):
         sp_sier, lg.full_wide(g, g.objects))
     assert report.status == "pass"
     assert report.details["points_without_neighbourhood"] == []
+    # every minimal neighbourhood already works, so each is the witness
+    assert report.details["neighbourhoods"] == {"1": ["1", "2"], "2": ["2"]}
 
 
 def test_local_connectivity_coherence_vacuous():
@@ -109,19 +111,6 @@ def test_local_connectivity_takes_first_larger_open_in_sorted_order():
     assert report.status == "pass"
     assert report.details["neighbourhoods"]["x"] == ["a", "b", "c", "x"]
     assert report.details["neighbourhoods"]["a"] == ["a"]
-
-
-def test_local_connectivity_explicit_choice(sp_sier):
-    g = lg.pair_groupoid({"1", "2"})
-    wide = lg.full_wide(g, g.objects)
-    choice = {x: sp_sier.minimal_open(x) for x in sp_sier.points}
-    report = lg.verify_local_connectivity_coherence(sp_sier, wide, choice)
-    assert report.status == "pass"
-    with pytest.raises(ValidationError, match="open set"):
-        lg.verify_local_connectivity_coherence(
-            sp_sier, wide, {"1": {"1"}, "2": {"2"}})
-    with pytest.raises(ValidationError, match="chosen"):
-        lg.verify_local_connectivity_coherence(sp_sier, wide, {"2": {"2"}})
 
 
 def test_connectivity_globalization(sp_sier, sp_disc2):

@@ -1,16 +1,21 @@
+import random
+
 import pytest
 
 import locglob as lg
 from locglob.errors import ResourceLimitError, ValidationError
 from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
-                            close_family, cross_check_enumeration,
+                            close_family, component_clopenness_by_scan,
+                            cross_check_enumeration,
                             cross_check_glob, glob_by_refinements,
                             glob_by_subgroupoid_defn,
                             relative_openness_by_traces,
                             restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
 
-from conftest import fixture_path, subsets
+from conftest import (clopenness_twin_agrees, fixture_path,
+                      random_open_cover, restriction_lemma_matches_scan,
+                      subsets)
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -164,25 +169,8 @@ def test_total_coherence_lemma_matches_scan(suite36):
     assert checked > 369
 
 
-def _restriction_lemma_matches_scan(section) -> bool:
-    """The lemma answer of the restriction-global-coherence checker
-    against the open-by-open scan; returns the common flag."""
-    space = section.space
-    cover = [space.minimal_open(x) for x in space.points]
-    first, _ = lg.verify_restriction_coherence(section, cover)
-    flag, failing = restriction_global_coherence_by_scan(section)
-    assert first.conclusion_holds == flag
-    assert first.counterexample is None
-    assert (failing is None) == flag
-    if not flag:
-        assert space.is_open(failing)
-        assert not lg.coherence_report(
-            lg.restrict_section(section, failing)).globally_coherent
-    return flag
-
-
-def test_restriction_lemma_matches_scan(suite36):
-    flags = [_restriction_lemma_matches_scan(section)
+def testrestriction_lemma_matches_scan(suite36):
+    flags = [restriction_lemma_matches_scan(section)
              for _, section, _ in suite36.iter_sections()]
     assert len(flags) >= 300 and all(flags)
 
@@ -193,16 +181,78 @@ def test_restriction_lemma_matches_scan_where_it_fails(suite412):
     failing = [section for _, section, _ in suite412.iter_sections()
                if not lg.coherence_report(section).globally_coherent]
     assert len(failing) == 72
-    assert not any(_restriction_lemma_matches_scan(s) for s in failing)
+    assert not any(restriction_lemma_matches_scan(s) for s in failing)
 
 
 def test_restriction_lemma_matches_scan_on_nc_fixture():
     parsed = lg.load_instance(fixture_path("nc_pair_atlas.json"))
     section = lg.section_from_atlas(parsed.atlas)
-    assert not _restriction_lemma_matches_scan(section)
+    assert not restriction_lemma_matches_scan(section)
     # every proper open set restricts to a globally coherent section
     _, failing = restriction_global_coherence_by_scan(section)
     assert failing == section.space.points
+
+
+def test_clopenness_lemma_matches_scan(suite36):
+    # the globalisation of every section, with the minimal cover and
+    # three seeded random open covers
+    rng = random.Random(0)
+    checked = 0
+    for inst, section, _ in suite36.iter_sections():
+        space = inst.space
+        covers = [[space.minimal_open(x) for x in space.points]]
+        covers += [random_open_cover(space, rng) for _ in range(3)]
+        for cover in covers:
+            assert clopenness_twin_agrees(space, lg.glob(section), cover)
+            checked += 1
+    assert checked == 4 * 369
+
+
+def test_clopenness_lemma_matches_scan_on_the_4_12_suite(suite412):
+    # H = glob(section) on every section, and H = the chart subgroupoid
+    # on every single-chart section, with the minimal cover
+    sections = charts = 0
+    for inst, section, atlas in suite412.iter_sections():
+        space = inst.space
+        cover = [space.minimal_open(x) for x in space.points]
+        assert clopenness_twin_agrees(space, lg.glob(section), cover)
+        sections += 1
+        if len(atlas.charts) == 1:
+            assert clopenness_twin_agrees(space, atlas.charts[0][1], cover)
+            charts += 1
+    assert (sections, charts) == (9753, 9681)
+
+
+def test_clopenness_lemma_matches_scan_on_nc_fixture():
+    parsed = lg.load_instance(fixture_path("nc_pair_atlas.json"))
+    space = parsed.space
+    section = lg.section_from_atlas(parsed.atlas)
+    rng = random.Random(0)
+    covers = [[u for u, _ in parsed.atlas.charts],
+              [space.minimal_open(x) for x in space.points]]
+    covers += [random_open_cover(space, rng) for _ in range(20)]
+    full = lg.full_wide(parsed.groupoid, space.points)
+    for wide in (lg.glob(section), full):
+        for cover in covers:
+            assert clopenness_twin_agrees(space, wide, cover)
+
+
+def test_clopenness_scan_finds_a_failure_when_the_cover_is_not_open():
+    # the lemma needs an open cover: {1} is not open in the Sierpinski
+    # space, the checker refuses it, and the scan reports the component
+    # {1}, which is not open inside {1, 2}
+    space = lg.space_from_basis({"1", "2"}, [{"2"}])
+    g = lg.pair_groupoid(space.points)
+    wide = lg.full_wide(g, g.objects)
+    section = lg.loc(space, wide)
+    cover = [frozenset({"1"}), frozenset({"2"})]
+    with pytest.raises(ValidationError, match="open"):
+        lg.verify_component_clopenness(section, wide, cover)
+    flag, certificate = component_clopenness_by_scan(section, wide, cover)
+    assert not flag
+    assert certificate == {"component": ["1"], "ambient_component": ["1", "2"],
+                           "relatively_open": False,
+                           "relatively_closed": True}
 
 
 def test_total_coherence_scan_guard(s_nc):

@@ -8,18 +8,22 @@ run past the 4-point cap of the generated suite: random preorders on
 5 to 7 points, given by their minimal opens, with a pair groupoid or a
 bundle of order-two groups and random seed arrows. Every trusted output
 must pass its public constructor unchanged, and the total-coherence and
-restriction lemmas must agree with their open-by-open scans. On
-preorders of 5 to 8 points the minimal-neighbourhood operations of
-`spaces` must agree with their explicit-family definitions in `oracle`.
+restriction lemmas must agree with their open-by-open scans. Sections
+of `loc(H)` are always globally coherent, so the restriction and
+component-clopenness lemmas are also checked on sections of random
+multi-chart atlases, which reach sections that are not. On preorders
+of 5 to 8 points the minimal-neighbourhood operations of `spaces` must
+agree with their explicit-family definitions in `oracle`.
 """
 
-from hypothesis import given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 import locglob as lg
 from locglob.oracle import (close_family, relative_openness_by_traces,
-                            restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
+
+from conftest import clopenness_twin_agrees, restriction_lemma_matches_scan
 
 
 def _up_closure(points, edges) -> dict:
@@ -48,13 +52,60 @@ def preorders(draw, min_points, max_points):
 
 
 @st.composite
+def height_one_posets(draw, min_points, max_points):
+    """Points and minimal opens of a poset of height one: each upper
+    point lies above two or more of the minimal points."""
+    n = draw(st.integers(min_points, max_points))
+    points = [str(i) for i in range(1, n + 1)]
+    k = draw(st.integers(2, n - 1))
+    lower = points[:k]
+    minimal = {x: frozenset({x}) for x in lower}
+    for x in points[k:]:
+        minimal[x] = frozenset({x}) | draw(
+            st.sets(st.sampled_from(lower), min_size=2))
+    return points, minimal
+
+
+def _groupoids(draw, points):
+    if draw(st.booleans()):
+        return lg.pair_groupoid(points)
+    return lg.group_bundle(points, {p: lg.cyclic_group(2) for p in points})
+
+
+@st.composite
+def atlases(draw):
+    """A consistent atlas of random chart subgroupoids on a random open
+    cover, on a random preorder or a height-one poset of 5 to 7 points;
+    charts that induce different germs somewhere are rejected. Two upper
+    points of a height-one poset over the same two minimal points, with
+    only one chart joining those two, give a section that is not
+    globally coherent."""
+    points, minimal = draw(st.one_of(preorders(5, 7),
+                                     height_one_posets(5, 7)))
+    space = lg.space_from_basis(points, list(minimal.values()))
+    g = _groupoids(draw, points)
+    opens = sorted((o for o in space.opens if o),
+                   key=lambda o: (len(o), sorted(o)))
+    domains = draw(st.lists(st.sampled_from(opens), min_size=1, max_size=3,
+                            unique=True))
+    domains += [m for x, m in sorted(minimal.items())
+                if not any(x in u for u in domains)]
+    charts = []
+    for u in dict.fromkeys(domains):
+        free = sorted(g.arrows_within(u) - g.identity_ids)
+        seed = draw(st.sets(st.sampled_from(free), max_size=2)) if free else ()
+        charts.append((u, lg.generate_wide(g, u, seed)))
+    try:
+        return lg.Atlas(space, charts)
+    except lg.AtlasConsistencyError:
+        assume(False)
+
+
+@st.composite
 def instances(draw):
     points, minimal = draw(preorders(5, 7))
     space = lg.space_from_basis(points, list(minimal.values()))
-    if draw(st.booleans()):
-        g = lg.pair_groupoid(points)
-    else:
-        g = lg.group_bundle(points, {p: lg.cyclic_group(2) for p in points})
+    g = _groupoids(draw, points)
     free = sorted(g.arrow_ids - g.identity_ids)
     seed = draw(st.sets(st.sampled_from(free), max_size=4))
     region = draw(st.sets(st.sampled_from(points)))
@@ -135,11 +186,35 @@ def test_restriction_lemma_matches_scan_past_the_cap(case):
     space, _, g, seed, _, some_open, _ = case
     section = lg.loc(space, lg.generate_wide(g, space.points, seed))
     for s in (section, lg.restrict_section(section, some_open)):
-        cover = [s.space.minimal_open(x) for x in s.space.points]
-        first, _ = lg.verify_restriction_coherence(s, cover)
-        flag, _ = restriction_global_coherence_by_scan(s)
-        assert first.conclusion_holds == flag
-        assert first.counterexample is None
+        restriction_lemma_matches_scan(s)
+
+
+def _not_globally_coherent(atlas) -> bool:
+    section = lg.section_from_atlas(atlas)
+    return not lg.coherence_report(section).globally_coherent
+
+
+def test_atlases_reach_a_section_that_is_not_globally_coherent():
+    atlas = find(atlases(), _not_globally_coherent,
+                 settings=settings(max_examples=500, derandomize=True,
+                                   database=None, phases=[Phase.generate]))
+    assert _not_globally_coherent(atlas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(atlases())
+def test_restriction_lemma_matches_scan_on_atlas_sections(atlas):
+    restriction_lemma_matches_scan(lg.section_from_atlas(atlas))
+
+
+@settings(max_examples=60, deadline=None)
+@given(atlases())
+def test_clopenness_lemma_matches_scan_on_atlas_sections(atlas):
+    space = atlas.space
+    wide = lg.glob(lg.section_from_atlas(atlas))
+    for cover in ([u for u, _ in atlas.charts],
+                  [space.minimal_open(x) for x in space.points]):
+        assert clopenness_twin_agrees(space, wide, cover)
 
 
 @st.composite
