@@ -169,7 +169,7 @@ def test_total_coherence_lemma_matches_scan(suite36):
     assert checked > 369
 
 
-def testrestriction_lemma_matches_scan(suite36):
+def test_restriction_lemma_matches_scan(suite36):
     flags = [restriction_lemma_matches_scan(section)
              for _, section, _ in suite36.iter_sections()]
     assert len(flags) >= 300 and all(flags)
