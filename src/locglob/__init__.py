@@ -14,14 +14,14 @@ from .errors import (AssociativityError, AtlasConsistencyError,
                      AtlasCoverError, EndpointMismatchError,
                      InvariantViolationError, InverseLawError, LocglobError,
                      MissingIdentityError, ParseError, ResourceLimitError,
-                     ValidationError)
+                     UsageError, ValidationError)
 from .groupoids import (FiniteGroup, Groupoid, WideSubgroupoid, anchor_image,
                         cyclic_group, finite_group, full_restriction,
                         full_wide, generate_wide, group_bundle,
                         identities_only, identity_groupoid, intersect_wide,
                         is_subgroupoid, pair_groupoid, rel_times_group,
                         restrict_wide, transitivity_components,
-                        trivial_group, validate_groupoid, wide_subgroupoid)
+                        validate_groupoid, wide_subgroupoid)
 from .instance_io import (ParsedInstance, load_instance, parse_instance,
                           serialize_instance)
 from .oracle import (Instance, InstanceSuite, all_topologies,

@@ -5,14 +5,15 @@ Subcommands:
   verify        run every structural checker on an instance or a suite
   oracle-check  compare fast computations against brute-force oracles
 
-Exit codes: 0 completed (checker counterexamples are reported outcomes,
-not failures), 1 usage or parse error, 2 invalid instance, 3 resource
-cap exceeded, 4 internal invariant violation.
+A completed run exits 0, checker counterexamples included: they are
+reported outcomes, not failures. Every error is a `LocglobError`, whose
+class in `errors.py` carries the stderr category and the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,10 +24,7 @@ from .coherence import (_set_list, coherence_report, foliation_space,
                         verify_foliation_components,
                         verify_local_connectivity_coherence,
                         verify_restriction_coherence)
-from .errors import (AssociativityError, AtlasConsistencyError,
-                     AtlasCoverError, EndpointMismatchError,
-                     InvariantViolationError, InverseLawError,
-                     MissingIdentityError, ParseError, ResourceLimitError,
+from .errors import (InvariantViolationError, LocglobError, UsageError,
                      ValidationError)
 from .groupoids import transitivity_components
 from .instance_io import ParsedInstance, load_instance
@@ -36,63 +34,52 @@ from .sections import Atlas, glob, loc, section_from_atlas
 from .spaces import (connected_components, label_key, sorted_labels,
                      sorted_sets)
 
-ERROR_CATEGORIES = (
-    (AssociativityError, "associativity"),
-    (MissingIdentityError, "missing-identity"),
-    (InverseLawError, "inverse-law"),
-    (EndpointMismatchError, "endpoint-mismatch"),
-    (AtlasCoverError, "atlas-cover"),
-    (AtlasConsistencyError, "atlas-consistency"),
-)
-
-
-class UsageError(Exception):
-    """Command line invocation problem; exits 1 like a parse error."""
-
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; 2 is reserved for
-    # invalid instances here, so route usage problems to exit 1
+    # argparse prints usage and exits 2 on argv mistakes by default; 2 is
+    # reserved for invalid instances here, so report them as usage errors
     def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(1) from None
+        raise UsageError(message)
 
 
+def _suite_arg(text: str) -> tuple:
+    try:
+        points, arrows = (int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected \"points,arrows\", got {text!r}") from None
+    return points, arrows
+
+
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="locglob",
                      description="local subgroupoids of finite groupoids "
                                  "over finite spaces")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(sub, with_suite):
-        sub.add_argument("--input", metavar="PATH",
-                         help="instance file (JSON)")
+    def command(name, summary, with_suite):
+        sub = commands.add_parser(name, help=summary)
+        source = (sub.add_mutually_exclusive_group(required=True)
+                  if with_suite else sub)
+        source.add_argument("--input", metavar="PATH",
+                            required=not with_suite,
+                            help="instance file (JSON)")
+        if with_suite:
+            source.add_argument("--suite", metavar="POINTS,ARROWS",
+                                type=_suite_arg,
+                                help="generated suite instead of a file")
         sub.add_argument("--format", choices=("json", "text"),
                          default="text", help="report format")
-        if with_suite:
-            sub.add_argument("--suite", metavar="POINTS,ARROWS",
-                             help="generated suite instead of a file")
+        return sub
 
-    common(commands.add_parser(
-        "analyze", help="summarise one instance"), with_suite=False)
-    common(commands.add_parser(
-        "verify", help="run the structural checkers"), with_suite=True)
-    oracle = commands.add_parser(
-        "oracle-check", help="brute-force cross checks")
-    common(oracle, with_suite=True)
+    command("analyze", "summarise one instance", with_suite=False)
+    command("verify", "run the structural checkers", with_suite=True)
+    oracle = command("oracle-check", "brute-force cross checks",
+                     with_suite=True)
     oracle.add_argument("--max-arrows", type=int, default=16, metavar="N",
                         help="non-identity arrow cap for enumeration oracles")
     return parser
-
-
-def _parse_suite_arg(text: str) -> tuple:
-    parts = text.split(",")
-    try:
-        points, arrows = (int(p.strip()) for p in parts)
-    except ValueError:
-        raise UsageError(
-            f"--suite expects \"points,arrows\", got {text!r}") from None
-    return points, arrows
 
 
 def _section_source(parsed: ParsedInstance):
@@ -306,56 +293,26 @@ def _render(doc: dict, fmt: str) -> str:
 
 
 def _dispatch(args) -> dict:
-    suite_arg = getattr(args, "suite", None)
     if args.command == "analyze":
-        if args.input is None:
-            raise UsageError("analyze needs --input")
         return cmd_analyze(load_instance(args.input))
     if args.command == "verify":
-        if (args.input is None) == (suite_arg is None):
-            raise UsageError("verify needs exactly one of --input or --suite")
-        if suite_arg is not None:
-            points, arrows = _parse_suite_arg(suite_arg)
-            return cmd_verify_suite(points, arrows)
+        if args.suite is not None:
+            return cmd_verify_suite(*args.suite)
         return cmd_verify_instance(load_instance(args.input))
-    if (args.input is None) == (suite_arg is None):
-        raise UsageError(
-            "oracle-check needs exactly one of --input or --suite")
-    if suite_arg is not None:
-        points, arrows = _parse_suite_arg(suite_arg)
-        return cmd_oracle_check_suite(points, arrows, args.max_arrows)
+    if args.suite is not None:
+        return cmd_oracle_check_suite(*args.suite, args.max_arrows)
     return cmd_oracle_check_instance(load_instance(args.input),
                                      args.max_arrows)
-
-
-def _category(exc: ValidationError) -> str:
-    for cls, name in ERROR_CATEGORIES:
-        if isinstance(exc, cls):
-            return name
-    return "validation"
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
         doc = _dispatch(args)
-    except UsageError as exc:
-        print(f"error[usage]: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"error[parse]: {exc}", file=sys.stderr)
-        return 1
-    except ResourceLimitError as exc:
-        print(f"error[resource-limit]: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"error[{_category(exc)}]: {exc}", file=sys.stderr)
-        return 2
-    except InvariantViolationError as exc:
-        print(f"error[invariant]: {exc}", file=sys.stderr)
-        return 4
+    except SystemExit as exc:  # --help; argv mistakes raise UsageError
+        return exc.code
+    except LocglobError as exc:
+        print(f"error[{exc.category}]: {exc}", file=sys.stderr)
+        return exc.exit_code
     print(_render(doc, args.format))
     return 0

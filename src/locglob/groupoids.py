@@ -450,10 +450,6 @@ def cyclic_group(order: int) -> FiniteGroup:
     return finite_group(els, 0, mul)
 
 
-def trivial_group() -> FiniteGroup:
-    return cyclic_group(1)
-
-
 def group_bundle(points, fibers) -> Groupoid:
     """A loops-only groupoid: source equals target everywhere, with the
     fiber group sitting over each point. Arrow ids are p#g."""

@@ -18,7 +18,7 @@ from .groupoids import (Groupoid, WideSubgroupoid, _arrow_closure,
                         cyclic_group, generate_wide, group_bundle,
                         intersect_wide, pair_groupoid, restrict_wide,
                         transitivity_components)
-from .sections import (Atlas, LocalSubgroupoid, germ_at, glob, loc,
+from .sections import (Atlas, LocalSubgroupoid, _germ, glob, loc,
                        restrict_section, section_from_atlas, section_leq)
 from .spaces import (FiniteSpace, connected_components, enumerate_opens,
                      label_key, relative_openness, set_key, sorted_labels,
@@ -124,13 +124,14 @@ def glob_by_refinements(section: LocalSubgroupoid, atlas: Atlas,
     g = section.parent
     space = section.space
     points = sorted_labels(space.points)
+    opens = enumerate_opens(space)
     options = []
     for x in points:
         pieces = set()
         for open_set, sub in atlas.charts:
             if x not in open_set:
                 continue
-            for v in enumerate_opens(space):
+            for v in opens:
                 if x in v and v <= open_set:
                     pieces.add(restrict_wide(sub, v).arrows)
         if not pieces:
@@ -330,9 +331,10 @@ def all_topologies(n: int) -> list:
 
 
 def _consistent_with(space, prefix, open_set, sub) -> bool:
+    # every chart domain here is a minimal neighbourhood, open by definition
     for other_open, other_sub in prefix:
         for y in open_set & other_open:
-            if germ_at(space, sub, y) != germ_at(space, other_sub, y):
+            if _germ(space, sub, y) != _germ(space, other_sub, y):
                 return False
     return True
 

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -196,12 +198,70 @@ def test_exit_code_parse_errors(capsys, tmp_path):
 
 
 def test_usage_errors(capsys):
-    assert main(["analyze"]) == 1
-    assert main(["verify"]) == 1
-    assert main(["verify", "--suite", "nope"]) == 1
-    assert main(["no-such-command"]) == 1
+    # argparse checks every argv mistake; each is one error[usage] line
+    mistakes = [
+        ["analyze"],
+        ["verify"],
+        ["verify", "--input", "x.json", "--suite", "3,6"],
+        ["oracle-check"],
+        ["oracle-check", "--input", "x.json", "--suite", "3,6"],
+        ["verify", "--suite", "nope"],
+        ["verify", "--suite", "1,2,3"],
+        ["no-such-command"],
+        ["verify", "--suite", "3,6", "--max-arrows", "8"],
+    ]
+    for argv in mistakes:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, argv
+        assert lines[0].startswith("error[usage]: "), argv
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def _readme_exit_codes() -> dict:
+    """Category -> exit code, from the README's exit code table."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Exit codes")[1]
+    codes = {}
+    for row in section.split("\n## ")[0].splitlines():
+        cells = row.split("|")
+        if len(cells) > 3 and cells[1].strip().isdigit():
+            for category in re.findall(r"`([a-z-]+)`", cells[2]):
+                codes[category] = int(cells[1])
+    return codes
+
+
+ERROR_CLASSES = [
+    (lg.LocglobError, "invariant", 4),
+    (lg.UsageError, "usage", 1),
+    (lg.ParseError, "parse", 1),
+    (lg.ValidationError, "validation", 2),
+    (lg.AssociativityError, "associativity", 2),
+    (lg.MissingIdentityError, "missing-identity", 2),
+    (lg.InverseLawError, "inverse-law", 2),
+    (lg.EndpointMismatchError, "endpoint-mismatch", 2),
+    (lg.AtlasCoverError, "atlas-cover", 2),
+    (lg.AtlasConsistencyError, "atlas-consistency", 2),
+    (lg.ResourceLimitError, "resource-limit", 3),
+    (lg.InvariantViolationError, "invariant", 4),
+]
+
+
+@pytest.mark.parametrize("cls, category, exit_code", ERROR_CLASSES,
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_error_class_carries_its_readme_category(cls, category, exit_code):
+    assert (cls.category, cls.exit_code) == (category, exit_code)
+    assert _readme_exit_codes()[category] == exit_code
+
+
+def test_every_error_class_is_pinned():
+    classes = {cls for cls in vars(lg.errors).values()
+               if isinstance(cls, type) and issubclass(cls, lg.LocglobError)}
+    assert classes == {cls for cls, _, _ in ERROR_CLASSES}
+    assert set(_readme_exit_codes()) == {c for _, c, _ in ERROR_CLASSES}
 
 
 def test_module_entry_point():
