@@ -31,8 +31,8 @@ from .instance_io import ParsedInstance, load_instance
 from .oracle import (cross_check_connectivity, cross_check_enumeration,
                      cross_check_glob, instance_suite)
 from .sections import Atlas, glob, loc, section_from_atlas
-from .spaces import (connected_components, label_key, sorted_labels,
-                     sorted_sets)
+from .spaces import (_minimal_cover, connected_components, label_key,
+                     sorted_labels)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,10 +147,6 @@ def cmd_analyze(parsed: ParsedInstance) -> dict:
     return doc
 
 
-def _minimal_cover(space) -> list:
-    return sorted_sets({space.minimal_open(x) for x in space.points})
-
-
 def _theorem_reports(space, section, atlas, wide) -> list:
     # sections on finite spaces are always coherent; a failure here is a
     # germ or closure bug, not a property of the instance
@@ -187,9 +183,8 @@ def cmd_verify_suite(max_points: int, max_extra_arrows: int) -> dict:
     theorems = {}
     sections = 0
     for inst, section, atlas in suite.iter_sections():
-        cross_check_glob(section, atlas)
+        wide = cross_check_glob(section, atlas)
         sections += 1
-        wide = glob(section)
         for report in _theorem_reports(inst.space, section, atlas, wide):
             tally = theorems.setdefault(
                 report.theorem, {"pass": 0, "vacuous": 0, "counterexample": 0})

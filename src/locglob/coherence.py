@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from .errors import InvariantViolationError, ResourceLimitError, ValidationError
 from .groupoids import (WideSubgroupoid, generate_wide, restrict_wide,
                         transitivity_components)
-from .sections import (Atlas, LocalSubgroupoid, germ_leq, glob, loc,
-                       restrict_section, section_from_atlas)
+from .sections import (Atlas, LocalSubgroupoid, glob, loc, restrict_section,
+                       section_from_atlas)
 from .spaces import (FiniteSpace, connected_components, enumerate_opens,
                      generate_topology, label_key, relative_openness,
                      sorted_labels, sorted_sets)
@@ -73,13 +73,14 @@ class TheoremReport:
 
 
 def coherence_report(section: LocalSubgroupoid) -> CoherenceReport:
+    # both germs live over m(x), where `germ_leq` is arrow-set inclusion
     globalised = loc(section.space, glob(section))
     coherent = True
     witnesses = []
     for x in sorted_labels(section.space.points):
         mine = section.germs[x]
         theirs = globalised.germs[x]
-        if not germ_leq(mine, theirs):
+        if not mine.rep.arrows <= theirs.rep.arrows:
             coherent = False
         if mine != theirs:
             witnesses.append((x, mine, theirs))

@@ -49,12 +49,6 @@ class Groupoid:
     def tgt(self, arrow):
         return self.target[arrow]
 
-    def unit(self, obj):
-        return self.identity[obj]
-
-    def inv(self, arrow):
-        return self.inverse[arrow]
-
     def compose(self, first, second):
         """first then second; defined when tgt(first) == src(second)."""
         return self.table[(first, second)]

@@ -4,8 +4,9 @@ A document carries a finite space, an ambient groupoid, and optionally
 an atlas and a wide subgroupoid over the whole space. Structural
 problems with the document (wrong shapes, missing keys) raise
 ParseError; semantic problems surface as the validation errors of the
-core modules. Serialisation always emits the explicit groupoid form,
-and parse(serialize(parse(doc))) equals parse(doc) value for value.
+core modules. Serialisation always emits the explicit groupoid form and
+the minimal neighbourhoods as the basis, and parse(serialize(parse(doc)))
+equals parse(doc) value for value.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .groupoids import (FiniteGroup, Groupoid, WideSubgroupoid,
                         rel_times_group, validate_groupoid,
                         wide_subgroupoid)
 from .sections import Atlas
-from .spaces import (FiniteSpace, enumerate_opens, label_key, sorted_labels,
+from .spaces import (FiniteSpace, _minimal_cover, label_key, sorted_labels,
                      space_from_basis)
 
 GROUPOID_KINDS = ("pair", "bundle", "rel_times_group", "explicit")
@@ -188,7 +189,7 @@ def load_instance(path) -> ParsedInstance:
 
 def _serialize_space(space: FiniteSpace) -> dict:
     return {"points": sorted_labels(space.points),
-            "basis": [sorted_labels(o) for o in enumerate_opens(space)]}
+            "basis": [sorted_labels(o) for o in _minimal_cover(space)]}
 
 
 def _serialize_groupoid(g: Groupoid) -> dict:

@@ -22,24 +22,16 @@ from dataclasses import dataclass
 from .errors import (AtlasConsistencyError, AtlasCoverError, ValidationError)
 from .groupoids import (Groupoid, WideSubgroupoid, full_restriction,
                         generate_wide, restrict_wide)
-from .spaces import FiniteSpace, label_key, sorted_labels, subspace
+from .spaces import FiniteSpace, sorted_labels, subspace
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Germ:
     """Canonical germ at a point: the defining chart restricted to the
     point's minimal open neighbourhood."""
 
     at: object
     rep: WideSubgroupoid
-
-    def __eq__(self, other):
-        if not isinstance(other, Germ):
-            return NotImplemented
-        return self.at == other.at and self.rep == other.rep
-
-    def __hash__(self):
-        return hash((label_key(self.at), self.rep.base, self.rep.arrows))
 
 
 def germ_at(space: FiniteSpace, chart: WideSubgroupoid, x) -> Germ:
@@ -78,7 +70,8 @@ def germ_leq(lower: Germ, upper: Germ) -> bool:
 @dataclass(frozen=True, eq=False)
 class Atlas:
     """Charts (open set, wide subgroupoid over it) that cover the space
-    and induce equal germs at every shared point."""
+    and induce equal germs at every shared point. Validation keeps the
+    first chart's germ at each point: the section the atlas defines."""
 
     space: FiniteSpace
     charts: tuple
@@ -109,21 +102,22 @@ class Atlas:
             raise AtlasCoverError(
                 f"charts do not cover the space; missing points: {missing}")
         # report the earliest witness in (point, chart pair) order
+        germs = {}
         for x in sorted_labels(self.space.points):
             hits = [i for i, (o, _) in enumerate(charts) if x in o]
-            first = _germ(self.space, charts[hits[0]][1], x)
+            first = germs[x] = _germ(self.space, charts[hits[0]][1], x)
             for j in hits[1:]:
                 if _germ(self.space, charts[j][1], x) != first:
                     raise AtlasConsistencyError(
                         f"charts {hits[0]} and {j} induce different germs "
                         f"at point {x!r}",
                         point=x, charts=(hits[0], j))
+        object.__setattr__(self, "_section", LocalSubgroupoid._trusted(
+            self.space, parent, germs))
 
     @property
     def parent(self) -> Groupoid:
-        if not self.charts:
-            raise ValidationError("empty atlas has no ambient groupoid")
-        return self.charts[0][1].parent
+        return section_from_atlas(self).parent
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,25 +185,18 @@ class LocalSubgroupoid:
                 and self.germs == other.germs)
 
     def __hash__(self):
-        return hash((self.space,
-                     tuple(sorted((label_key(x), hash(g))
-                                  for x, g in self.germs.items()))))
+        return hash((self.space, frozenset(self.germs.values())))
 
 
 def section_from_atlas(atlas: Atlas) -> LocalSubgroupoid:
-    """Assemble the section induced by an atlas.
-
-    Atlas validation has already checked that the charts are open, cover
-    the space and induce one germ at each point, whatever chart is
-    picked. The gluing law needs no check: for y in m(x), with x in the
+    """The section induced by an atlas: the germ of the first chart
+    holding each point, kept by atlas validation, which has checked that
+    the charts are open, cover the space and induce one germ at each
+    point. The gluing law needs no check: for y in m(x), with x in the
     chart domain U, y lies in U too and (H|m(x))|m(y) = H|m(y)."""
-    germs = {}
-    for x in atlas.space.points:
-        for open_set, sub in atlas.charts:
-            if x in open_set:
-                germs[x] = _germ(atlas.space, sub, x)
-                break
-    return LocalSubgroupoid._trusted(atlas.space, atlas.parent, germs)
+    if not atlas.charts:
+        raise ValidationError("empty atlas has no ambient groupoid")
+    return atlas._section
 
 
 def loc(space: FiniteSpace, wide: WideSubgroupoid) -> LocalSubgroupoid:

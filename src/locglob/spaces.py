@@ -44,6 +44,11 @@ def sorted_sets(sets) -> list:
     return sorted(sets, key=set_key)
 
 
+def _minimal_cover(space) -> list:
+    """The distinct minimal neighbourhoods: a basis of the topology."""
+    return sorted_sets({space.minimal_open(x) for x in space.points})
+
+
 class FiniteSpace:
     """A finite point set with its topology, held as the minimal open
     neighbourhood m(x) of every point. The constructor takes the full

@@ -76,6 +76,19 @@ def subsets(points) -> list:
             for c in itertools.combinations(labels, k)]
 
 
+def section_by_first_chart(atlas):
+    """Definitional twin of `section_from_atlas`: at each point, the germ
+    of the first chart holding it, assembled by the validating public
+    constructor."""
+    germs = {}
+    for x in atlas.space.points:
+        for open_set, sub in atlas.charts:
+            if x in open_set:
+                germs[x] = lg.germ_at(atlas.space, sub, x)
+                break
+    return lg.LocalSubgroupoid(atlas.space, atlas.charts[0][1].parent, germs)
+
+
 def random_open_cover(space, rng) -> list:
     """Nonempty opens drawn at random, then a random open for each point
     they leave uncovered."""

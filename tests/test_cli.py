@@ -42,6 +42,19 @@ def test_round_trip_identity(name):
     assert serialize_instance(second) == doc
 
 
+def test_round_trip_of_a_space_with_too_many_opens_to_list():
+    # 17 discrete points have 2^17 opens; the basis written is the 17
+    # minimal neighbourhoods
+    points = [f"p{i:02d}" for i in range(17)]
+    space = lg.space_from_basis(points, [{p} for p in points])
+    first = lg.ParsedInstance(space, lg.identity_groupoid(points), None, None)
+    doc = serialize_instance(first)
+    assert doc["space"]["basis"] == [[p] for p in points]
+    second = parse_instance(json.loads(json.dumps(doc)))
+    _instances_equal(first, second)
+    assert serialize_instance(second) == doc
+
+
 def test_analyze_json_output(capsys):
     code = main(["analyze", "--input", fixture_path("nc_pair_atlas.json"),
                  "--format", "json"])

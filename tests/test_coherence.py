@@ -66,6 +66,15 @@ def test_foliation_space(sp_nc, a_nc, s_nc):
         lg.foliation_space(s_nc, other)
 
 
+def test_foliation_space_compares_sections_by_value(sp_nc, a_nc, s_nc):
+    # an equal section built afresh is accepted, any other is rejected
+    rebuilt = lg.LocalSubgroupoid(sp_nc, s_nc.parent, dict(s_nc.germs))
+    assert rebuilt is not lg.section_from_atlas(a_nc)
+    assert lg.foliation_space(rebuilt, a_nc) == lg.foliation_space(s_nc, a_nc)
+    with pytest.raises(ValidationError, match="does not define"):
+        lg.foliation_space(lg.loc(sp_nc, lg.glob(s_nc)), a_nc)
+
+
 def test_component_clopenness(sp_nc, nc_pair, s_nc):
     wide = lg.glob(s_nc)
     section = lg.loc(sp_nc, wide)

@@ -101,6 +101,21 @@ def test_glob_by_refinements_validation(sp_ind2):
         glob_by_refinements(section, atlas, max_refinements=0)
 
 
+def test_glob_by_refinements_compares_sections_by_value(sp_ind2):
+    # an equal section built afresh is accepted, any other is rejected
+    g = lg.pair_groupoid({"1", "2"})
+    atlas = lg.Atlas(sp_ind2, ((sp_ind2.points,
+                                lg.full_wide(g, g.objects)),))
+    section = lg.section_from_atlas(atlas)
+    rebuilt = lg.LocalSubgroupoid(sp_ind2, g, dict(section.germs))
+    assert rebuilt is not section
+    assert (glob_by_refinements(rebuilt, atlas)
+            == glob_by_refinements(section, atlas))
+    smaller = lg.loc(sp_ind2, lg.identities_only(g, g.objects))
+    with pytest.raises(ValidationError, match="does not define"):
+        glob_by_refinements(smaller, atlas)
+
+
 def test_cross_check_glob_nc(s_nc, a_nc):
     confirmed = cross_check_glob(s_nc, a_nc, max_arrows=32)
     assert confirmed == lg.glob(s_nc)

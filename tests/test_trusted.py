@@ -23,7 +23,8 @@ import locglob as lg
 from locglob.oracle import (close_family, relative_openness_by_traces,
                             totally_coherent_by_scan)
 
-from conftest import clopenness_twin_agrees, restriction_lemma_matches_scan
+from conftest import (clopenness_twin_agrees, restriction_lemma_matches_scan,
+                      section_by_first_chart)
 
 
 def _up_closure(points, edges) -> dict:
@@ -199,6 +200,12 @@ def test_atlases_reach_a_section_that_is_not_globally_coherent():
                  settings=settings(max_examples=500, derandomize=True,
                                    database=None, phases=[Phase.generate]))
     assert _not_globally_coherent(atlas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(atlases())
+def test_section_from_atlas_matches_first_chart_twin_past_the_cap(atlas):
+    assert lg.section_from_atlas(atlas) == section_by_first_chart(atlas)
 
 
 @settings(max_examples=40, deadline=None)
