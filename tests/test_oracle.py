@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
                             relative_openness_by_traces,
                             restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
+from locglob.spaces import label_key, sorted_labels
 
 from conftest import (clopenness_twin_agrees, fixture_path,
                       random_open_cover, restriction_lemma_matches_scan,
@@ -149,6 +152,45 @@ def test_instance_suite_shape():
         assert len(set(inst.sections)) == len(inst.sections)
     with pytest.raises(ResourceLimitError):
         lg.instance_suite(5, 4)
+
+
+SUITE36_DIGEST = (
+    "aded121b038fe630c04114ee0bae3a867a62dcf3d5cd65f49a68b7f61e0e24c0")
+SUITE412_DIGEST = (
+    "5121545ee4ac4616e30eed020e18c68d2f7dc64ec9ad4de6a7fc95fcc04cdeb3")
+
+
+def _suite_digest(suite) -> str:
+    """sha256 over every instance in order, as sorted-label JSON: its
+    kind and m(x) table, the germs of each section and the charts of
+    each atlas, both in suite order."""
+    digest = hashlib.sha256()
+    for inst in suite.instances:
+        points = sorted_labels(inst.space.points)
+        record = {
+            "kind": inst.kind,
+            "minimal_opens": [[label_key(x),
+                               sorted_labels(inst.space.minimal_open(x))]
+                              for x in points],
+            "sections": [[[label_key(x),
+                           sorted_labels(section.germs[x].rep.base),
+                           sorted_labels(section.germs[x].rep.arrows)]
+                          for x in points]
+                         for section in inst.sections],
+            "atlases": [[[sorted_labels(open_set), sorted_labels(sub.arrows)]
+                         for open_set, sub in atlas.charts]
+                        for atlas in inst.atlases],
+        }
+        digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def test_instance_suites_are_pinned(suite36, suite412):
+    # `perfbench` samples sections by index, so the order of instances,
+    # sections and atlases is part of the suite's contract
+    assert _suite_digest(suite36) == SUITE36_DIGEST
+    assert _suite_digest(suite412) == SUITE412_DIGEST
 
 
 def test_instance_suite_filters_large_groupoids():
