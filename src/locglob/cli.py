@@ -42,13 +42,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _suite_arg(text: str) -> tuple:
+def _at_least(what: str, low: int, text: str) -> int:
     try:
-        points, arrows = (int(p) for p in text.split(","))
+        value = int(text)
     except ValueError:
+        value = None
+    if value is None or value < low:
         raise argparse.ArgumentTypeError(
-            f"expected \"points,arrows\", got {text!r}") from None
-    return points, arrows
+            f"expected {what} >= {low}, got {text!r}")
+    return value
+
+
+def _suite_arg(text: str) -> tuple:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(
+            f"expected \"points,arrows\", got {text!r}")
+    return _at_least("points", 1, parts[0]), _at_least("arrows", 0, parts[1])
 
 
 @functools.cache
@@ -77,7 +87,8 @@ def _build_parser() -> _Parser:
     command("verify", "run the structural checkers", with_suite=True)
     oracle = command("oracle-check", "brute-force cross checks",
                      with_suite=True)
-    oracle.add_argument("--max-arrows", type=int, default=16, metavar="N",
+    oracle.add_argument("--max-arrows", default=16, metavar="N",
+                        type=functools.partial(_at_least, "N", 0),
                         help="non-identity arrow cap for enumeration oracles")
     return parser
 

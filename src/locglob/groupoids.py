@@ -81,6 +81,13 @@ class Groupoid:
         return hash(self._signature)
 
 
+def _raise_least(message: str, witnesses) -> None:
+    """Raise a ValidationError naming the least witness, in sorted order."""
+    if witnesses:
+        least = min(witnesses, key=lambda w: tuple(map(label_key, w)))
+        raise ValidationError(message.format(*least))
+
+
 def validate_groupoid(candidate: Groupoid) -> Groupoid:
     """Check every groupoid law exhaustively and return the value.
 
@@ -170,21 +177,19 @@ class WideSubgroupoid:
         if unknown:
             raise ValidationError(
                 f"unknown arrows: {sorted_labels(unknown)}")
-        for a in self.arrows:
-            if g.source[a] not in self.base or g.target[a] not in self.base:
-                raise ValidationError(f"arrow {a!r} leaves the base")
-        for u in self.base:
-            if g.identity[u] not in self.arrows:
-                raise ValidationError(
-                    f"not wide: identity arrow of {u!r} is missing")
-        for a in self.arrows:
-            if g.inverse[a] not in self.arrows:
-                raise ValidationError(f"not closed under inverse at {a!r}")
-        for a in self.arrows:
-            for b in self.arrows:
-                if g.target[a] == g.source[b] and g.table[(a, b)] not in self.arrows:
-                    raise ValidationError(
-                        f"not closed under composition at ({a!r}, {b!r})")
+        _raise_least("arrow {!r} leaves the base",
+                     [(a,) for a in self.arrows if g.source[a] not in self.base
+                      or g.target[a] not in self.base])
+        _raise_least("not wide: identity arrow of {!r} is missing",
+                     [(u,) for u in self.base
+                      if g.identity[u] not in self.arrows])
+        _raise_least("not closed under inverse at {!r}",
+                     [(a,) for a in self.arrows
+                      if g.inverse[a] not in self.arrows])
+        _raise_least("not closed under composition at ({!r}, {!r})",
+                     [(a, b) for a in self.arrows for b in self.arrows
+                      if g.target[a] == g.source[b]
+                      and g.table[(a, b)] not in self.arrows])
 
     @classmethod
     def _trusted(cls, parent: Groupoid, base: frozenset,
@@ -343,12 +348,11 @@ def is_subgroupoid(inner: WideSubgroupoid, outer: WideSubgroupoid) -> bool:
 def _check_printable_labels(labels, what):
     """Synthesized arrow ids embed labels as strings, so labels must
     stringify injectively and avoid the id separators."""
+    _raise_least(f"{what} label {{!r}} may not contain ':' or '#'",
+                 [(x,) for x in labels if ":" in str(x) or "#" in str(x)])
     seen = {}
     for x in labels:
         s = str(x)
-        if ":" in s or "#" in s:
-            raise ValidationError(
-                f"{what} label {x!r} may not contain ':' or '#'")
         if s in seen and seen[s] != x:
             raise ValidationError(
                 f"{what} labels {seen[s]!r} and {x!r} collide as strings")
@@ -408,24 +412,17 @@ def finite_group(elements, unit, mul) -> FiniteGroup:
         if not (isinstance(key, tuple) and len(key) == 2
                 and key[0] in els and key[1] in els):
             raise ValidationError(f"multiplication keyed on unknown pair {key!r}")
-    for a in els:
-        for b in els:
-            if (a, b) not in mul:
-                raise ValidationError(
-                    f"multiplication undefined for ({a!r}, {b!r})")
-            if mul[(a, b)] not in els:
-                raise ValidationError(
-                    f"product of ({a!r}, {b!r}) escapes the element set")
-    for a in els:
-        if mul[(unit, a)] != a or mul[(a, unit)] != a:
-            raise ValidationError(f"unit law fails at element {a!r}")
-    for a in els:
-        for b in els:
-            for c in els:
-                if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]:
-                    raise ValidationError(
-                        f"group multiplication not associative at "
-                        f"({a!r}, {b!r}, {c!r})")
+    _raise_least("multiplication undefined for ({!r}, {!r})",
+                 [(a, b) for a in els for b in els if (a, b) not in mul])
+    _raise_least("product of ({!r}, {!r}) escapes the element set",
+                 [key for key, c in mul.items() if c not in els])
+    _raise_least("unit law fails at element {!r}",
+                 [(a,) for a in els if mul[(unit, a)] != a
+                  or mul[(a, unit)] != a])
+    _raise_least("group multiplication not associative at "
+                 "({!r}, {!r}, {!r})",
+                 [(a, b, c) for a in els for b in els for c in els
+                  if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]])
     inv = {}
     for a in sorted(els, key=label_key):
         found = [b for b in sorted(els, key=label_key)
@@ -449,9 +446,8 @@ def group_bundle(points, fibers) -> Groupoid:
     fiber group sitting over each point. Arrow ids are p#g."""
     pts = frozenset(points)
     _check_printable_labels(pts, "point")
-    for p in pts:
-        if p not in fibers:
-            raise ValidationError(f"missing fiber for point {p!r}")
+    _raise_least("missing fiber for point {!r}",
+                 [(p,) for p in pts if p not in fibers])
     source, target, identity, inverse, table = {}, {}, {}, {}, {}
     for p in pts:
         grp = fibers[p]

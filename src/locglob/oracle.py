@@ -279,8 +279,8 @@ def connected_by_partition(space: FiniteSpace, subset,
 @dataclass(frozen=True, eq=False)
 class Instance:
     """One generated test instance: a space, a groupoid on its points and
-    the sections reachable from small atlases, each kept with the atlas
-    that produced it."""
+    every section of the groupoid over the space, each kept with the
+    first atlas that defined it."""
 
     space: FiniteSpace
     groupoid: Groupoid
@@ -330,28 +330,22 @@ def all_topologies(n: int) -> list:
     return spaces
 
 
-def _consistent_with(space, prefix, open_set, sub) -> bool:
-    # every chart domain here is a minimal neighbourhood, open by definition
-    for other_open, other_sub in prefix:
-        for y in open_set & other_open:
-            if _germ(space, sub, y) != _germ(space, other_sub, y):
-                return False
-    return True
-
-
 def instance_suite(max_points: int, max_extra_arrows: int) -> InstanceSuite:
     """All spaces on up to `max_points` labeled points, paired with pair
     groupoids and order-two group bundles whose non-identity arrow count
-    fits the bound, carrying every section reachable from single-chart
-    and minimal-neighbourhood atlases."""
+    fits the bound. Each instance holds every section once: the gluing
+    law makes its atlas of charts (m(x), rep(x)) consistent, so
+    `_build_instance` reaches it."""
     if max_points < 1 or max_points > 4:
         raise ResourceLimitError("instance suite is limited to 4 points")
+    z2 = cyclic_group(2)
     instances = []
     for n in range(1, max_points + 1):
         for space in all_topologies(n):
-            candidates = [("pair", pair_groupoid(space.points))]
-            fibers = {p: cyclic_group(2) for p in space.points}
-            candidates.append(("bundle", group_bundle(space.points, fibers)))
+            candidates = [
+                ("pair", pair_groupoid(space.points)),
+                ("bundle", group_bundle(space.points,
+                                        dict.fromkeys(space.points, z2)))]
             for kind, g in candidates:
                 if g.non_identity_count() > max_extra_arrows:
                     continue
@@ -361,38 +355,37 @@ def instance_suite(max_points: int, max_extra_arrows: int) -> InstanceSuite:
 
 
 def _build_instance(space, g, kind, max_extra_arrows) -> Instance:
-    sections, atlases = [], []
-    seen = set()
+    """Single-chart atlases of every wide H over X, then every consistent
+    atlas of charts (m(x), K_x), x in sorted order; each section is kept
+    with the first atlas that defines it.
 
-    def record(section, atlas):
-        if section not in seen:
-            seen.add(section)
-            sections.append(section)
-            atlases.append(atlas)
-
-    for h in enumerate_wide_subgroupoids(g, space.points, max_extra_arrows):
-        atlas = Atlas(space, ((space.points, h),))
-        record(section_from_atlas(atlas), atlas)
-
-    points = sorted_labels(space.points)
-    per_point = {
-        x: enumerate_wide_subgroupoids(
-            g, space.minimal_open(x),
-            max(max_extra_arrows, DEFAULT_ARROW_BOUND))
-        for x in points}
-    partial = [()]
-    for x in points:
+    (E) The wide K over m(x) are the restrictions H|m(x) of the wide H
+    over X: each H|m(x) is wide and closed (`restrict_wide`), and K is
+    H|m(x) for H = K plus the identities outside m(x), which is closed as
+    those identities compose only with themselves.
+    (G) The charts agree on overlaps iff each K_x has, at every y in m(x)
+    that an earlier chart holds, the germ K_x|m(y) the first such chart
+    fixed: the earlier charts through y already agree with that one.
+    """
+    wides = enumerate_wide_subgroupoids(g, space.points, max_extra_arrows)
+    atlases = [Atlas(space, ((space.points, h),)) for h in wides]
+    partial = [((), {})]  # (charts, germ fixed at each covered point)
+    for x in sorted_labels(space.points):
         m = space.minimal_open(x)
-        grown = []
-        for prefix in partial:
-            for sub in per_point[x]:
-                if _consistent_with(space, prefix, m, sub):
-                    grown.append(prefix + ((m, sub),))
-        partial = grown
-    for charts in partial:
-        atlas = Atlas(space, charts)
-        record(section_from_atlas(atlas), atlas)
-    return Instance(space, g, kind, tuple(sections), tuple(atlases))
+        subs = [WideSubgroupoid(g, m, arrows) for arrows in sorted(
+            {restrict_wide(h, m).arrows for h in wides}, key=set_key)]
+        candidates = [(sub, {y: _germ(space, sub, y) for y in m})
+                      for sub in subs]
+        partial = [(charts + ((m, sub),), {**germs, **fixed})
+                   for charts, fixed in partial
+                   for sub, germs in candidates
+                   if all(fixed.get(y, germ) == germ
+                          for y, germ in germs.items())]
+    atlases += [Atlas(space, charts) for charts, _ in partial]
+    found = {}  # section -> first atlas defining it, in insertion order
+    for atlas in atlases:
+        found.setdefault(section_from_atlas(atlas), atlas)
+    return Instance(space, g, kind, tuple(found), tuple(found.values()))
 
 
 def cross_check_glob(section: LocalSubgroupoid, atlas: Atlas,
@@ -437,7 +430,6 @@ def cross_check_enumeration(g: Groupoid, base,
     """Compare the decision-search enumeration with the plain subset
     filter. Skipped (reported, not silent) above eight non-identity
     arrows, where the filter is no longer reasonable."""
-    base = frozenset(base)
     free = _non_identity_arrows(g, base)
     if len(free) > 8:
         return {"checked": False,

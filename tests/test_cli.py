@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -222,6 +223,9 @@ def test_usage_errors(capsys):
         ["verify", "--suite", "1,2,3"],
         ["no-such-command"],
         ["verify", "--suite", "3,6", "--max-arrows", "8"],
+        ["verify", "--suite", "3,-1"],
+        ["verify", "--suite", "0,5"],
+        ["oracle-check", "--suite", "2,4", "--max-arrows", "-1"],
     ]
     for argv in mistakes:
         assert main(argv) == 1, argv
@@ -230,6 +234,9 @@ def test_usage_errors(capsys):
         lines = captured.err.splitlines()
         assert len(lines) == 1, argv
         assert lines[0].startswith("error[usage]: "), argv
+    # in range for argparse, but past the suite generator's 4-point cap
+    assert main(["verify", "--suite", "5,4"]) == 3
+    assert capsys.readouterr().err.startswith("error[resource-limit]: ")
     assert main(["--help"]) == 0
     capsys.readouterr()
 
@@ -346,3 +353,82 @@ def test_4097_opens_are_answered_without_a_cap(tmp_path, capsys):
     assert by_name["restriction-global-coherence"]["details"] == {
         "opens_checked": 4097}
     assert doc["summary"]["counterexample"] == 0
+
+
+# the non-associative four-element table of invalid_assoc.json, as a group
+_NOT_ASSOCIATIVE = [
+    ["e", "e", "e"], ["e", "a", "a"], ["e", "b", "b"], ["e", "c", "c"],
+    ["a", "e", "a"], ["a", "a", "e"], ["a", "b", "c"], ["a", "c", "e"],
+    ["b", "e", "b"], ["b", "a", "c"], ["b", "b", "e"], ["b", "c", "a"],
+    ["c", "e", "c"], ["c", "a", "e"], ["c", "b", "a"], ["c", "c", "b"]]
+
+
+def _bundle_doc(mul, elements=("e", "a", "b", "c"), points=("p",)):
+    fiber = {"elements": list(elements), "unit": "e", "mul": mul}
+    return {"space": {"points": list(points), "basis": []},
+            "groupoid": {"kind": "bundle",
+                         "fibers": {p: fiber for p in points}}}
+
+
+def _pair_doc(base, arrows):
+    return {"space": {"points": ["a", "b", "c", "d"], "basis": []},
+            "groupoid": {"kind": "pair"},
+            "subgroupoid": {"base": base, "arrows": arrows}}
+
+
+# each document fails one validator with several witnesses; the one
+# reported must be the least in sorted order, whatever the set order
+INVALID_WITH_MANY_WITNESSES = {
+    "leaves_base": (_pair_doc(["a", "b"], ["a:c", "b:d", "c:a", "d:b"]),
+                    "arrow 'a:c' leaves the base"),
+    "inverse_closure": (_pair_doc(["a", "b", "c", "d"], ["c:d", "a:b"]),
+                        "not closed under inverse at 'a:b'"),
+    "composition_closure": (
+        _pair_doc(["a", "b", "c", "d"],
+                  ["a:b", "b:a", "b:c", "c:b", "c:d", "d:c"]),
+        "not closed under composition at ('a:b', 'b:c')"),
+    "undefined_product": (
+        _bundle_doc([["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"]],
+                    elements=("e", "a", "b")),
+        "multiplication undefined for ('a', 'a')"),
+    "product_escapes": (
+        _bundle_doc([[x, y, "z" if "e" not in (x, y) else x + y]
+                     for x in ("e", "a", "b") for y in ("e", "a", "b")],
+                    elements=("e", "a", "b")),
+        "product of ('a', 'a') escapes the element set"),
+    "unit_law": (
+        _bundle_doc([[x, y, "e" if x != y else x]
+                     for x in ("e", "a", "b") for y in ("e", "a", "b")],
+                    elements=("e", "a", "b")),
+        "unit law fails at element 'a'"),
+    "associativity": (_bundle_doc(_NOT_ASSOCIATIVE),
+                      "group multiplication not associative at "
+                      "('a', 'a', 'b')"),
+    "label_separators": (
+        {"space": {"points": ["g#h", "e:f", "c#d", "a:b"], "basis": []},
+         "groupoid": {"kind": "pair"}},
+        "point label 'a:b' may not contain ':' or '#'"),
+    "missing_fiber": (
+        {"space": {"points": ["p", "q", "r"], "basis": []},
+         "groupoid": {"kind": "bundle", "fibers": {}}},
+        "missing fiber for point 'p'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_WITH_MANY_WITNESSES))
+def test_invalid_documents_report_the_least_witness(tmp_path, name):
+    doc, message = INVALID_WITH_MANY_WITNESSES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for seed in ("0", "1", "2", "3", "5"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "locglob", "analyze", "--input",
+             str(path)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 2, (seed, proc.stderr)
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, (seed, proc.stderr)
+        assert lines[0].startswith("error[validation]: "), (seed, lines)
+        assert lines[0].endswith(message), (seed, lines)

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import json
+import math
 import random
 
 import pytest
 
 import locglob as lg
+from locglob import oracle
 from locglob.errors import ResourceLimitError, ValidationError
 from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
                             close_family, component_clopenness_by_scan,
@@ -191,6 +194,62 @@ def test_instance_suites_are_pinned(suite36, suite412):
     # sections and atlases is part of the suite's contract
     assert _suite_digest(suite36) == SUITE36_DIGEST
     assert _suite_digest(suite412) == SUITE412_DIGEST
+
+
+def _germ_families(inst, max_families):
+    """Definitional twin of the generator: every choice of one wide
+    subgroupoid over each m(x) that the validating `LocalSubgroupoid`
+    accepts; None when there are more than `max_families` choices."""
+    space, g = inst.space, inst.groupoid
+    points = sorted_labels(space.points)
+    options = [lg.enumerate_wide_subgroupoids(g, space.minimal_open(x))
+               for x in points]
+    if math.prod(map(len, options)) > max_families:
+        return None
+    families = set()
+    for choice in itertools.product(*options):
+        germs = {x: lg.Germ(x, k) for x, k in zip(points, choice)}
+        try:
+            families.add(lg.LocalSubgroupoid(space, g, germs))
+        except ValidationError:
+            continue
+    return families
+
+
+def test_suite_sections_are_every_germ_family(suite36, suite412):
+    # every section of the 3,6 suite is loc(H) for a single chart H; the
+    # 4,12 instances with at most 100 choices include the six that hold
+    # the 72 sections only minimal-neighbourhood atlases define
+    for suite, max_families, expected in (
+            (suite36, 512, (len(suite36.instances), 0)),
+            (suite412, 100, (385, 72))):
+        checked = beyond_single_charts = 0
+        for inst in suite.instances:
+            families = _germ_families(inst, max_families)
+            if families is None:
+                continue
+            assert set(inst.sections) == families
+            checked += 1
+            single = {lg.loc(inst.space, h) for h in
+                      lg.enumerate_wide_subgroupoids(
+                          inst.groupoid, inst.space.points, 12)}
+            beyond_single_charts += len(families - single)
+        assert (checked, beyond_single_charts) == expected
+
+
+def test_instance_suite_enumerates_once_per_instance(monkeypatch):
+    # lemma (E): the charts over each m(x) are restrictions of the one
+    # whole-space enumeration, so no per-point enumeration runs
+    bases = []
+    enumerate_wide = oracle.enumerate_wide_subgroupoids
+
+    def counted(g, base, *rest):
+        bases.append(frozenset(base))
+        return enumerate_wide(g, base, *rest)
+
+    monkeypatch.setattr(oracle, "enumerate_wide_subgroupoids", counted)
+    suite = lg.instance_suite(3, 6)
+    assert bases == [inst.space.points for inst in suite.instances]
 
 
 def test_instance_suite_filters_large_groupoids():

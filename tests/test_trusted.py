@@ -13,7 +13,10 @@ of `loc(H)` are always globally coherent, so the restriction and
 component-clopenness lemmas are also checked on sections of random
 multi-chart atlases, which reach sections that are not. On preorders
 of 5 to 8 points the minimal-neighbourhood operations of `spaces` must
-agree with their explicit-family definitions in `oracle`.
+agree with their explicit-family definitions in `oracle`, and on
+bundles of order-two groups over 5 to 7 points the wide subgroupoids
+over each m(x) must be the restrictions of those over the whole space,
+the extension lemma of the suite generator.
 """
 
 from hypothesis import Phase, assume, find, given, settings
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 import locglob as lg
 from locglob.oracle import (close_family, relative_openness_by_traces,
                             totally_coherent_by_scan)
+from locglob.spaces import set_key
 
 from conftest import (clopenness_twin_agrees, restriction_lemma_matches_scan,
                       section_by_first_chart)
@@ -252,3 +256,19 @@ def test_space_operations_match_explicit_families(case):
         o & region for o in family)
     assert (lg.relative_openness(space, part, whole)
             == relative_openness_by_traces(space, part, whole))
+
+
+@settings(max_examples=40, deadline=None)
+@given(preorders(5, 7))
+def test_minimal_neighbourhood_subgroupoids_are_restrictions_past_the_cap(
+        case):
+    # lemma (E) of `oracle._build_instance`: the wide subgroupoids over
+    # m(x) are the distinct restrictions of those over the whole space,
+    # and sorting them by `set_key` gives the enumeration's order
+    points, minimal = case
+    g = lg.group_bundle(points, dict.fromkeys(points, lg.cyclic_group(2)))
+    wides = lg.enumerate_wide_subgroupoids(g, points)
+    for m in set(minimal.values()):
+        restricted = {lg.restrict_wide(h, m).arrows for h in wides}
+        assert sorted(restricted, key=set_key) == [
+            k.arrows for k in lg.enumerate_wide_subgroupoids(g, m)]
