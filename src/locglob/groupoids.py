@@ -268,16 +268,24 @@ def restrict_wide(h: WideSubgroupoid, region) -> WideSubgroupoid:
     return WideSubgroupoid._trusted(g, reg, keep)
 
 
-def _arrow_closure(g: Groupoid, base: frozenset, seed) -> frozenset:
-    """Least arrow set over `base` containing the base identities and
-    `seed`, closed under inverse and composition. Worklist fixpoint: the
-    identities are closed already, and each further arrow is inverted
-    and composed with the taken arrows that meet it end to end, so only
-    composable pairs are visited."""
+def _arrow_closure(g: Groupoid, base: frozenset, seed,
+                   start=frozenset()) -> frozenset:
+    """Least arrow set over `base` containing the base identities, the
+    closed arrow set `start` and `seed`, closed under inverse and
+    composition. Worklist fixpoint: the identities and `start` are
+    closed already, and each further arrow is inverted and composed with
+    the taken arrows that meet it end to end, so only composable pairs
+    are visited. A composite of two arrows of `start` lies in it, and
+    one involving a new arrow is pushed when the later of the two is
+    taken, so `start` is only indexed, never worked."""
     source, target, table = g.source, g.target, g.table
     current = {g.identity[u] for u in base}
     leaving = {u: [g.identity[u]] for u in base}    # taken, by source
     entering = {u: [g.identity[u]] for u in base}   # taken, by target
+    for b in start - current:
+        leaving[source[b]].append(b)
+        entering[target[b]].append(b)
+    current |= start
     todo = list(seed)
     while todo:
         a = todo.pop()

@@ -18,8 +18,8 @@ from .groupoids import (Groupoid, WideSubgroupoid, _arrow_closure,
                         cyclic_group, generate_wide, group_bundle,
                         intersect_wide, pair_groupoid, restrict_wide,
                         transitivity_components)
-from .sections import (Atlas, LocalSubgroupoid, _germ, glob, loc,
-                       restrict_section, section_from_atlas, section_leq)
+from .sections import (Atlas, LocalSubgroupoid, _germ, germ_leq, glob,
+                       restrict_section, section_from_atlas)
 from .spaces import (FiniteSpace, connected_components, enumerate_opens,
                      label_key, relative_openness, set_key, sorted_labels,
                      sorted_sets)
@@ -40,7 +40,9 @@ def enumerate_wide_subgroupoids(g: Groupoid, base,
 
     Enumerated by a decision search over non-identity arrows with
     closure propagation; the plain subset filter re-derives the same
-    family on small instances as a cross-check.
+    family on small instances as a cross-check. Every recorded set is
+    the base identities or an `_arrow_closure` output, so, as for
+    `generate_wide`, the results are built unchecked.
     """
     base = frozenset(base)
     if not base <= g.objects:
@@ -63,13 +65,13 @@ def enumerate_wide_subgroupoids(g: Groupoid, base,
             search(i + 1, current, excluded)
             return
         search(i + 1, current, excluded | {a})
-        grown = _arrow_closure(g, base, current | {a})
+        grown = _arrow_closure(g, base, (a,), current)
         if not grown & excluded:
             search(i + 1, grown, excluded)
 
     search(0, identities, frozenset())
     found.sort(key=set_key)
-    return [WideSubgroupoid(g, base, arrows) for arrows in found]
+    return [WideSubgroupoid._trusted(g, base, arrows) for arrows in found]
 
 
 def _enumerate_by_subset_filter(g: Groupoid, base) -> list:
@@ -93,14 +95,18 @@ def glob_by_subgroupoid_defn(section: LocalSubgroupoid,
                              max_arrows: int = DEFAULT_ARROW_BOUND) -> WideSubgroupoid:
     """Globalisation straight from its definition: the intersection of
     every wide subgroupoid H over the whole space whose germ section
-    dominates the given section."""
-    g = section.parent
-    points = section.space.points
-    candidates = enumerate_wide_subgroupoids(g, points, max_arrows)
+    dominates the given section, tested germ by germ and given up at the
+    first point where the section's germ does not lie below H's."""
+    space = section.space
+    candidates = enumerate_wide_subgroupoids(section.parent, space.points,
+                                             max_arrows)
     qualifying = [h for h in candidates
-                  if section_leq(section, loc(section.space, h))]
+                  if all(germ_leq(section.germs[x], _germ(space, h, x))
+                         for x in space.points)]
     # the full restriction always qualifies, so the family is never empty
-    assert qualifying, "no qualifying wide subgroupoid; enumeration is broken"
+    if not qualifying:
+        raise InvariantViolationError(
+            "no qualifying wide subgroupoid; enumeration is broken")
     return intersect_wide(qualifying)
 
 

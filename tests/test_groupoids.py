@@ -6,6 +6,7 @@ import locglob as lg
 from locglob.errors import (AssociativityError, EndpointMismatchError,
                             InverseLawError, MissingIdentityError,
                             ValidationError)
+from locglob.groupoids import _arrow_closure
 
 PAIR4 = lg.pair_groupoid({"1", "2", "3", "4"})
 NON_ID4 = sorted(PAIR4.arrow_ids - PAIR4.identity_ids)
@@ -147,6 +148,20 @@ def test_generate_wide_laws(case):
     assert lg.WideSubgroupoid(g, base, h.arrows) == h
     again = lg.generate_wide(g, base, h.arrows)
     assert again == h
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_groupoids(), st.data())
+def test_closure_from_a_closed_start(case, data):
+    # closing s2 onto K = closure(s1) works only the new arrows; it must
+    # reach the closure of K | s2 taken from the identities
+    g, first = case
+    free = sorted(g.arrow_ids - g.identity_ids)
+    second = data.draw(st.frozensets(st.sampled_from(free)))
+    base = g.objects
+    closed = _arrow_closure(g, base, first)
+    assert (_arrow_closure(g, base, second, closed)
+            == _arrow_closure(g, base, closed | second))
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,8 @@ import pytest
 
 import locglob as lg
 from locglob import oracle
-from locglob.errors import ResourceLimitError, ValidationError
+from locglob.errors import (InvariantViolationError, ResourceLimitError,
+                            ValidationError)
 from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
                             close_family, component_clopenness_by_scan,
                             cross_check_enumeration,
@@ -71,6 +72,27 @@ def test_enumeration_agrees_with_subset_filter():
     fast = lg.enumerate_wide_subgroupoids(g4, g4.objects)
     slow = _enumerate_by_subset_filter(g4, g4.objects)
     assert [h.arrows for h in fast] == [h.arrows for h in slow]
+
+
+def test_enumeration_of_every_suite_groupoid_matches_subset_filter(suite412):
+    # the search builds its results unchecked; the cross-check skips the
+    # 12-arrow pair groupoid, so force the filter twin on all 8 groupoids
+    groupoids = {inst.groupoid for inst in suite412.instances}
+    assert len(groupoids) == 8
+    for g in groupoids:
+        fast = lg.enumerate_wide_subgroupoids(g, g.objects, 12)
+        slow = _enumerate_by_subset_filter(g, g.objects)
+        assert [h.arrows for h in fast] == [h.arrows for h in slow]
+        for h in fast:
+            assert lg.WideSubgroupoid(g, g.objects, h.arrows) == h
+
+
+def test_glob_by_defn_raises_invariant_violation_on_empty_family(
+        monkeypatch, s_nc):
+    monkeypatch.setattr(oracle, "enumerate_wide_subgroupoids",
+                        lambda *args: [])
+    with pytest.raises(InvariantViolationError, match="enumeration"):
+        glob_by_subgroupoid_defn(s_nc)
 
 
 def test_glob_by_defn_on_small_spaces(sp_disc2, sp_ind2, sp_sier):
