@@ -43,6 +43,13 @@ class Groupoid:
     def identity_ids(self) -> frozenset:
         return frozenset(self.identity.values())
 
+    @cached_property
+    def _wide_arrow_sets(self) -> dict:
+        """base -> arrow sets of every wide subgroupoid over it, filled by
+        `oracle.enumerate_wide_subgroupoids`. Plain arrow sets hold no
+        reference back to the groupoid, so the memo goes with it."""
+        return {}
+
     def src(self, arrow):
         return self.source[arrow]
 

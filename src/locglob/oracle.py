@@ -36,13 +36,13 @@ def _non_identity_arrows(g: Groupoid, base: frozenset) -> list:
 def enumerate_wide_subgroupoids(g: Groupoid, base,
                                 max_arrows: int = DEFAULT_ARROW_BOUND) -> list:
     """All wide subgroupoids of g restricted to `base`, in deterministic
-    order (arrow count, then sorted ids).
+    order (arrow count, then sorted ids), as a fresh list.
 
-    Enumerated by a decision search over non-identity arrows with
-    closure propagation; the plain subset filter re-derives the same
-    family on small instances as a cross-check. Every recorded set is
-    the base identities or an `_arrow_closure` output, so, as for
-    `generate_wide`, the results are built unchecked.
+    `_search_wide` runs once per groupoid object and base, which keeps
+    its arrow sets; the argument checks run on every call. Every recorded
+    set is the base identities or an `_arrow_closure` output, so, as for
+    `generate_wide`, the results are built unchecked; the subset filter
+    re-derives the family on small instances as a cross-check.
     """
     base = frozenset(base)
     if not base <= g.objects:
@@ -53,6 +53,17 @@ def enumerate_wide_subgroupoids(g: Groupoid, base,
         raise ResourceLimitError(
             f"{len(free)} non-identity arrows exceeds the enumeration "
             f"bound of {max_arrows}")
+    memo = g._wide_arrow_sets
+    found = memo.get(base)
+    if found is None:
+        found = memo[base] = _search_wide(g, base, free)
+    return [WideSubgroupoid._trusted(g, base, arrows) for arrows in found]
+
+
+def _search_wide(g: Groupoid, base: frozenset, free: list) -> tuple:
+    """Arrow sets of the wide subgroupoids over `base`, sorted by
+    `set_key`: a decision search over the non-identity arrows `free`
+    with closure propagation."""
     identities = frozenset(g.identity[u] for u in base)
     found = []
 
@@ -71,7 +82,7 @@ def enumerate_wide_subgroupoids(g: Groupoid, base,
 
     search(0, identities, frozenset())
     found.sort(key=set_key)
-    return [WideSubgroupoid._trusted(g, base, arrows) for arrows in found]
+    return tuple(found)
 
 
 def _enumerate_by_subset_filter(g: Groupoid, base) -> list:
@@ -96,7 +107,13 @@ def glob_by_subgroupoid_defn(section: LocalSubgroupoid,
     """Globalisation straight from its definition: the intersection of
     every wide subgroupoid H over the whole space whose germ section
     dominates the given section, tested germ by germ and given up at the
-    first point where the section's germ does not lie below H's."""
+    first point where the section's germ does not lie below H's.
+
+    The candidates H are the groupoid's enumeration over the space, kept
+    on the groupoid after its first search. That family depends only on
+    the groupoid and the point set, never on a section or on `glob`, so
+    sharing it across sections keeps this oracle independent of `glob`.
+    """
     space = section.space
     candidates = enumerate_wide_subgroupoids(section.parent, space.points,
                                              max_arrows)
@@ -341,20 +358,25 @@ def instance_suite(max_points: int, max_extra_arrows: int) -> InstanceSuite:
     groupoids and order-two group bundles whose non-identity arrow count
     fits the bound. Each instance holds every section once: the gluing
     law makes its atlas of charts (m(x), rep(x)) consistent, so
-    `_build_instance` reaches it."""
+    `_build_instance` reaches it.
+
+    The pair groupoid and the Z/2 bundle are built from the point set
+    alone, and `all_topologies(n)` labels every space's points 1..n, so
+    one of each serves all spaces on n points, and its enumeration of
+    wide subgroupoids is searched once for all of them."""
     if max_points < 1 or max_points > 4:
         raise ResourceLimitError("instance suite is limited to 4 points")
     z2 = cyclic_group(2)
     instances = []
     for n in range(1, max_points + 1):
+        points = frozenset(range(1, n + 1))
+        candidates = [
+            (kind, g) for kind, g in (
+                ("pair", pair_groupoid(points)),
+                ("bundle", group_bundle(points, dict.fromkeys(points, z2))))
+            if g.non_identity_count() <= max_extra_arrows]
         for space in all_topologies(n):
-            candidates = [
-                ("pair", pair_groupoid(space.points)),
-                ("bundle", group_bundle(space.points,
-                                        dict.fromkeys(space.points, z2)))]
             for kind, g in candidates:
-                if g.non_identity_count() > max_extra_arrows:
-                    continue
                 instances.append(_build_instance(space, g, kind,
                                                  max_extra_arrows))
     return InstanceSuite(max_points, max_extra_arrows, tuple(instances))

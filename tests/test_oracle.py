@@ -74,6 +74,50 @@ def test_enumeration_agrees_with_subset_filter():
     assert [h.arrows for h in fast] == [h.arrows for h in slow]
 
 
+def _arrow_sets(subs):
+    return [h.arrows for h in subs]
+
+
+def test_enumeration_kept_on_the_groupoid_still_checks_its_arguments():
+    g = lg.pair_groupoid({"1", "2", "3"})
+    fresh = lg.pair_groupoid({"1", "2", "3"})
+    with pytest.raises(ResourceLimitError) as before:
+        lg.enumerate_wide_subgroupoids(fresh, fresh.objects, max_arrows=5)
+    assert len(lg.enumerate_wide_subgroupoids(g, g.objects)) == 5
+    with pytest.raises(ResourceLimitError) as after:
+        lg.enumerate_wide_subgroupoids(g, g.objects, max_arrows=5)
+    assert str(after.value) == str(before.value)
+    with pytest.raises(ValidationError, match=r"unknown objects: \['9'\]"):
+        lg.enumerate_wide_subgroupoids(g, {"1", "9"})
+
+
+def test_enumeration_kept_on_the_groupoid_returns_a_fresh_list():
+    g = lg.pair_groupoid({"1", "2", "3"})
+    first = lg.enumerate_wide_subgroupoids(g, g.objects)
+    expected = _arrow_sets(first)
+    first.clear()
+    again = lg.enumerate_wide_subgroupoids(g, g.objects)
+    assert again is not first
+    assert _arrow_sets(again) == expected
+    again.reverse()
+    assert _arrow_sets(lg.enumerate_wide_subgroupoids(g, g.objects)) == expected
+
+
+def test_equal_groupoids_enumerate_the_same_arrow_sets():
+    g = lg.group_bundle({"1", "2"}, dict.fromkeys({"1", "2"},
+                                                  lg.cyclic_group(2)))
+    twin = lg.group_bundle({"1", "2"}, dict.fromkeys({"1", "2"},
+                                                     lg.cyclic_group(2)))
+    assert g == twin and g is not twin
+    subs = lg.enumerate_wide_subgroupoids(g, g.objects)
+    twin_subs = lg.enumerate_wide_subgroupoids(twin, twin.objects)
+    assert _arrow_sets(twin_subs) == _arrow_sets(subs)
+    assert all(h.parent is twin for h in twin_subs)
+    for base in ({"1"}, {"2"}):
+        assert (_arrow_sets(lg.enumerate_wide_subgroupoids(twin, base))
+                == _arrow_sets(lg.enumerate_wide_subgroupoids(g, base)))
+
+
 def test_enumeration_of_every_suite_groupoid_matches_subset_filter(suite412):
     # the search builds its results unchecked; the cross-check skips the
     # 12-arrow pair groupoid, so force the filter twin on all 8 groupoids
@@ -259,19 +303,44 @@ def test_suite_sections_are_every_germ_family(suite36, suite412):
         assert (checked, beyond_single_charts) == expected
 
 
+def _count_searches(monkeypatch):
+    """Record (groupoid, base) for every run of the decision search."""
+    searches = []
+    search = oracle._search_wide
+
+    def counted(g, base, free):
+        searches.append((g, base))
+        return search(g, base, free)
+
+    monkeypatch.setattr(oracle, "_search_wide", counted)
+    return searches
+
+
 def test_instance_suite_enumerates_once_per_instance(monkeypatch):
     # lemma (E): the charts over each m(x) are restrictions of the one
-    # whole-space enumeration, so no per-point enumeration runs
-    bases = []
-    enumerate_wide = oracle.enumerate_wide_subgroupoids
-
-    def counted(g, base, *rest):
-        bases.append(frozenset(base))
-        return enumerate_wide(g, base, *rest)
-
-    monkeypatch.setattr(oracle, "enumerate_wide_subgroupoids", counted)
+    # whole-space enumeration, so no per-point search runs; the spaces on
+    # n points share one groupoid of each kind, and with it that search
+    searches = _count_searches(monkeypatch)
     suite = lg.instance_suite(3, 6)
-    assert bases == [inst.space.points for inst in suite.instances]
+    first = {}
+    for inst in suite.instances:
+        assert inst.groupoid.objects == inst.space.points
+        first.setdefault(id(inst.groupoid),
+                         (inst.groupoid, inst.space.points))
+    assert ([(id(g), base) for g, base in searches]
+            == [(id(g), base) for g, base in first.values()])
+
+
+def test_suite_build_and_cross_check_search_once_per_groupoid(monkeypatch):
+    # the 3,6 suite holds six groupoids (pair groupoid and Z/2 bundle on
+    # one to three points); each is searched while the suite is built,
+    # and the definition oracle of every section reuses that search
+    searches = _count_searches(monkeypatch)
+    suite = lg.instance_suite(3, 6)
+    built = len(searches)
+    for _, section, atlas in suite.iter_sections():
+        cross_check_glob(section, atlas)
+    assert (built, len(searches)) == (6, 6)
 
 
 def test_instance_suite_filters_large_groupoids():
