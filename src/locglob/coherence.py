@@ -18,8 +18,7 @@ from .groupoids import (WideSubgroupoid, generate_wide, restrict_wide,
 from .sections import (Atlas, LocalSubgroupoid, glob, loc, restrict_section,
                        section_from_atlas)
 from .spaces import (FiniteSpace, connected_components, enumerate_opens,
-                     generate_topology, label_key, relative_openness,
-                     sorted_labels, sorted_sets)
+                     generate_topology, label_key, sorted_labels, sorted_sets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +247,7 @@ def verify_connectivity_globalization(space: FiniteSpace,
     comps = sorted_sets(transitivity_components(wide))
     connected = all(len(connected_components(space, comp)) == 1
                     for comp in comps)
-    closed = all(relative_openness(space, comp, space.points)[1]
-                 for comp in comps)
+    closed = all(space.is_open(space.points - comp) for comp in comps)
     equal = glob(loc(space, wide)) == wide
     details = {
         "components": _set_list(comps),
@@ -307,7 +305,19 @@ def verify_restriction_coherence(section: LocalSubgroupoid, cover,
     if s|V is globally coherent and x is in U, rep(x) <= glob(s|U)|m(x)
     <= glob(s|V)|m(x) = rep(x), the first step by the lemma of
     `is_totally_coherent`; take V = X. The open-by-open scan is
-    `oracle.restriction_global_coherence_by_scan`."""
+    `oracle.restriction_global_coherence_by_scan`.
+
+    The second hypothesis holds on every cover member that is some m(x),
+    for every section s (the minimal-cover lemma). Proof: for y in m(x),
+    m(y) <= m(x), so by the gluing law rep(y) = rep(x)|m(y) <= rep(x).
+    glob(s|m(x)) is the closure of these representatives, so it is
+    rep(x), already closed, and its germ at y is rep(x)|m(y) = rep(y):
+    s|m(x) is globally coherent. Every restriction is totally coherent
+    by the lemma of `is_totally_coherent`, and its cap is implied by the
+    cap on the whole section checked in the conclusion, since an open
+    subspace has no more opens than the space. So only the members that
+    are no m(x) are restricted and compared with their globalisation.
+    The member-by-member scan is `oracle.cover_restrictions_by_scan`."""
     space = section.space
     cover_sets = _open_cover(space, cover)
     conc1 = coherence_report(section).globally_coherent
@@ -315,9 +325,9 @@ def verify_restriction_coherence(section: LocalSubgroupoid, cover,
     first = _report("restriction-global-coherence", hyp1, conc1, None,
                     {"opens_checked": len(space.opens)})
 
-    restrictions = (restrict_section(section, v) for v in cover_sets)
-    hyp2 = all(coherence_report(r).globally_coherent
-               and is_totally_coherent(r, max_opens)[0] for r in restrictions)
+    minimal = {space.minimal_open(x) for x in space.points}
+    hyp2 = all(coherence_report(restrict_section(section, v)).globally_coherent
+               for v in cover_sets if v not in minimal)
     # True by the total-coherence lemma, or ResourceLimitError past a cap
     conc2 = is_totally_coherent(section, max_opens)[0]
     second = _report("restriction-total-coherence", hyp2, conc2, None,

@@ -463,6 +463,8 @@ def group_bundle(points, fibers) -> Groupoid:
     _check_printable_labels(pts, "point")
     _raise_least("missing fiber for point {!r}",
                  [(p,) for p in pts if p not in fibers])
+    _raise_least("fiber keyed on unknown point {!r}",
+                 [(p,) for p in fibers if p not in pts])
     source, target, identity, inverse, table = {}, {}, {}, {}, {}
     for p in pts:
         grp = fibers[p]

@@ -208,6 +208,21 @@ def restriction_global_coherence_by_scan(section: LocalSubgroupoid):
     return True, None
 
 
+def cover_restrictions_by_scan(section: LocalSubgroupoid, cover):
+    """Global and total coherence on every cover member straight from
+    their definitions: restrict the section to each member, in the given
+    order, compare it with its globalisation and scan its opens; (flag,
+    first failing member or None). Twin of the restriction-total-coherence
+    hypothesis of `coherence.verify_restriction_coherence`, which settles
+    each member that is some m(x) by a lemma."""
+    for v in map(frozenset, cover):
+        restricted = restrict_section(section, v)
+        if not (coherence_report(restricted).globally_coherent
+                and totally_coherent_by_scan(restricted)[0]):
+            return False, v
+    return True, None
+
+
 def component_clopenness_by_scan(section: LocalSubgroupoid,
                                  wide: WideSubgroupoid, cover):
     """Component clopenness straight from its definition: generate the

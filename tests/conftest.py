@@ -5,6 +5,7 @@ import pytest
 
 import locglob as lg
 from locglob.oracle import (component_clopenness_by_scan,
+                            cover_restrictions_by_scan,
                             restriction_global_coherence_by_scan)
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
@@ -126,4 +127,21 @@ def restriction_lemma_matches_scan(section) -> bool:
         assert space.is_open(failing)
         assert not lg.coherence_report(
             lg.restrict_section(section, failing)).globally_coherent
+    return flag
+
+
+def cover_scan_matches_checker(section, cover) -> bool:
+    """The restriction-total-coherence hypothesis, which settles each
+    cover member that is some m(x) by a lemma, against the member-by-
+    member scan; returns the common flag. A failing member is never
+    some m(x)."""
+    space = section.space
+    _, second = lg.verify_restriction_coherence(section, cover)
+    flag, failing = cover_restrictions_by_scan(section, cover)
+    assert second.hypothesis_holds == flag
+    assert second.status == ("pass" if flag else "vacuous")
+    assert (failing is None) == flag
+    if not flag:
+        assert failing in map(frozenset, cover)
+        assert failing not in {space.minimal_open(x) for x in space.points}
     return flag

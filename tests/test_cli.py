@@ -1,18 +1,24 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import locglob as lg
 from locglob.cli import main
 from locglob.instance_io import (load_instance, parse_instance,
                                  serialize_instance)
 
-from conftest import fixture_path
+from conftest import FIXTURE_DIR, fixture_path
 
 VALID_FIXTURES = [
     "nc_pair_atlas.json",
@@ -412,7 +418,28 @@ INVALID_WITH_MANY_WITNESSES = {
         {"space": {"points": ["p", "q", "r"], "basis": []},
          "groupoid": {"kind": "bundle", "fibers": {}}},
         "missing fiber for point 'p'"),
+    "unknown_fiber": (
+        {"space": {"points": ["p"], "basis": []},
+         "groupoid": {"kind": "bundle", "fibers": dict.fromkeys(
+             ("r", "q", "p"),
+             {"elements": ["e"], "unit": "e", "mul": [["e", "e", "e"]]})}},
+        "fiber keyed on unknown point 'q'"),
 }
+
+
+def test_bundle_fiber_on_an_unknown_point_exits_2(tmp_path, capsys):
+    # a fiber keyed outside the point set is rejected like an unknown
+    # label anywhere else in the document
+    with open(fixture_path("sier_bundle.json"), encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["groupoid"]["fibers"]["zz"] = doc["groupoid"]["fibers"]["1"]
+    path = tmp_path / "sier_bundle_extra_fiber.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["analyze", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "error[validation]: fiber keyed on unknown point 'zz'")
 
 
 @pytest.mark.parametrize("name", sorted(INVALID_WITH_MANY_WITNESSES))
@@ -432,3 +459,91 @@ def test_invalid_documents_report_the_least_witness(tmp_path, name):
         assert len(lines) == 1, (seed, proc.stderr)
         assert lines[0].startswith("error[validation]: "), (seed, lines)
         assert lines[0].endswith(message), (seed, lines)
+
+
+# every fixture document, valid or not, as parsed JSON
+FIXTURE_DOCS = {p.name: json.loads(p.read_text(encoding="utf-8"))
+                for p in sorted(FIXTURE_DIR.glob("*.json"))}
+MUTATIONS = ("drop a key", "change a type", "add an unknown label",
+             "truncate a list")
+OTHER_TYPES = (None, 0, 1.5, True, "zz", [], {})
+
+
+def _node_paths(node, path=()):
+    """Every path from the root of a JSON value to one of its nodes."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _node_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _node_paths(value, path + (i,))
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _applies(mutation, doc, path) -> bool:
+    node = _at(doc, path)
+    if mutation == "drop a key":
+        return bool(path) and isinstance(_at(doc, path[:-1]), dict)
+    if mutation == "add an unknown label":
+        return isinstance(node, (str, list, dict))
+    if mutation == "truncate a list":
+        return isinstance(node, list) and bool(node)
+    return True
+
+
+@st.composite
+def mutant_documents(draw):
+    """A fixture document with one to three of these mutations: a dict
+    key dropped, a value replaced by one of another type, the label
+    "zz" added to a list or dict or put in place of a string, a list cut
+    short."""
+    doc = copy.deepcopy(FIXTURE_DOCS[draw(st.sampled_from(
+        sorted(FIXTURE_DOCS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        mutation = draw(st.sampled_from(MUTATIONS))
+        paths = [p for p in _node_paths(doc) if _applies(mutation, doc, p)]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        node = _at(doc, path)
+        if mutation == "drop a key":
+            del _at(doc, path[:-1])[path[-1]]
+            continue
+        if mutation == "change a type":
+            new = draw(st.sampled_from(
+                [v for v in OTHER_TYPES if type(v) is not type(node)]))
+        elif mutation == "truncate a list":
+            new = node[:draw(st.integers(0, len(node) - 1))]
+        elif isinstance(node, list):
+            new = node + ["zz"]
+        elif isinstance(node, dict):
+            new = dict(node, zz=next(iter(node.values()), "zz"))
+        else:
+            new = "zz"
+        if path:
+            _at(doc, path[:-1])[path[-1]] = new
+        else:
+            doc = new
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutant_documents())
+def test_mutated_documents_exit_cleanly(doc):
+    # malformed input ends in an exit code, never an escaped exception
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "mutant.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        for command in ("analyze", "verify", "oracle-check"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main([command, "--input", path, "--format", "json"])
+            assert code in (0, 1, 2, 3), (command, code, err.getvalue())

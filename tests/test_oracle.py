@@ -7,22 +7,23 @@ import random
 import pytest
 
 import locglob as lg
-from locglob import oracle
+from locglob import cli, oracle
 from locglob.errors import (InvariantViolationError, ResourceLimitError,
                             ValidationError)
 from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
                             close_family, component_clopenness_by_scan,
+                            cover_restrictions_by_scan,
                             cross_check_enumeration,
                             cross_check_glob, glob_by_refinements,
                             glob_by_subgroupoid_defn,
                             relative_openness_by_traces,
                             restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
-from locglob.spaces import label_key, sorted_labels
+from locglob.spaces import _minimal_cover, label_key, sorted_labels
 
-from conftest import (clopenness_twin_agrees, fixture_path,
-                      random_open_cover, restriction_lemma_matches_scan,
-                      subsets)
+from conftest import (clopenness_twin_agrees, cover_scan_matches_checker,
+                      fixture_path, random_open_cover,
+                      restriction_lemma_matches_scan, subsets)
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -398,6 +399,74 @@ def test_restriction_lemma_matches_scan_on_nc_fixture():
     # every proper open set restricts to a globally coherent section
     _, failing = restriction_global_coherence_by_scan(section)
     assert failing == section.space.points
+
+
+def test_minimal_cover_lemma_matches_scan(suite36):
+    # every section restricts to a globally and totally coherent section
+    # on each m(x), so the second hypothesis holds on the minimal cover
+    flags = [cover_scan_matches_checker(section, _minimal_cover(inst.space))
+             for inst, section, _ in suite36.iter_sections()]
+    assert len(flags) == 369 and all(flags)
+
+
+def test_minimal_cover_lemma_matches_scan_where_not_globally_coherent(
+        suite412):
+    failing = [(inst, section) for inst, section, _
+               in suite412.iter_sections()
+               if not lg.coherence_report(section).globally_coherent]
+    assert len(failing) == 72
+    assert all(cover_scan_matches_checker(section, _minimal_cover(inst.space))
+               for inst, section in failing)
+
+
+def test_second_hypothesis_matches_cover_scan_on_other_covers(suite36):
+    # members that are no m(x) are still restricted and checked: the
+    # whole space, and seeded random open covers
+    rng = random.Random(1)
+    checked = 0
+    for inst, section, _ in suite36.iter_sections():
+        space = inst.space
+        covers = [[space.points]]
+        covers += [random_open_cover(space, rng) for _ in range(3)]
+        for cover in covers:
+            cover_scan_matches_checker(section, cover)
+            checked += 1
+    assert checked == 4 * 369
+
+
+def test_second_hypothesis_fails_on_nc_fixture_with_the_whole_space():
+    parsed = lg.load_instance(fixture_path("nc_pair_atlas.json"))
+    section = lg.section_from_atlas(parsed.atlas)
+    space = section.space
+    assert cover_scan_matches_checker(section, _minimal_cover(space))
+    assert not cover_scan_matches_checker(section, [space.points])
+    assert cover_restrictions_by_scan(section, [space.points]) == (
+        False, space.points)
+
+
+def test_verify_suite_restricts_no_minimal_cover_member(monkeypatch, capsys):
+    # `verify` passes the minimal cover, so the restriction checker
+    # restricts nothing; `coherence_report` runs twice per section: the
+    # guard in `cli` and the first conclusion
+    calls = {"restrict_section": 0, "full_restriction": 0,
+             "coherence_report": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(lg.coherence, "restrict_section")
+    counted(lg.sections, "full_restriction")
+    counted(lg.coherence, "coherence_report")
+    monkeypatch.setattr(cli, "coherence_report", lg.coherence.coherence_report)
+    assert cli.main(["verify", "--suite", "3,6", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == {"restrict_section": 0, "full_restriction": 0,
+                     "coherence_report": 2 * 369}
 
 
 def test_clopenness_lemma_matches_scan(suite36):

@@ -27,7 +27,8 @@ from locglob.oracle import (close_family, relative_openness_by_traces,
                             totally_coherent_by_scan)
 from locglob.spaces import set_key
 
-from conftest import (clopenness_twin_agrees, restriction_lemma_matches_scan,
+from conftest import (clopenness_twin_agrees, cover_scan_matches_checker,
+                      random_open_cover, restriction_lemma_matches_scan,
                       section_by_first_chart)
 
 
@@ -216,6 +217,17 @@ def test_section_from_atlas_matches_first_chart_twin_past_the_cap(atlas):
 @given(atlases())
 def test_restriction_lemma_matches_scan_on_atlas_sections(atlas):
     restriction_lemma_matches_scan(lg.section_from_atlas(atlas))
+
+
+@settings(max_examples=40, deadline=None)
+@given(atlases(), st.randoms(use_true_random=False))
+def test_minimal_cover_lemma_matches_scan_on_atlas_sections(atlas, rng):
+    section = lg.section_from_atlas(atlas)
+    space = atlas.space
+    assert cover_scan_matches_checker(
+        section, [space.minimal_open(x) for x in space.points])
+    for cover in ([space.points], random_open_cover(space, rng)):
+        cover_scan_matches_checker(section, cover)
 
 
 @settings(max_examples=60, deadline=None)
