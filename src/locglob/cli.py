@@ -24,8 +24,7 @@ from .coherence import (_set_list, coherence_report, foliation_space,
                         verify_foliation_components,
                         verify_local_connectivity_coherence,
                         verify_restriction_coherence)
-from .errors import (InvariantViolationError, LocglobError, UsageError,
-                     ValidationError)
+from .errors import LocglobError, UsageError, ValidationError
 from .groupoids import transitivity_components
 from .instance_io import ParsedInstance, load_instance
 from .oracle import (cross_check_connectivity, cross_check_enumeration,
@@ -159,11 +158,6 @@ def cmd_analyze(parsed: ParsedInstance) -> dict:
 
 
 def _theorem_reports(space, section, atlas, wide) -> list:
-    # sections on finite spaces are always coherent; a failure here is a
-    # germ or closure bug, not a property of the instance
-    if not coherence_report(section).coherent:
-        raise InvariantViolationError(
-            "section is not coherent; germ canonicalisation is broken")
     cover = _minimal_cover(space)
     reports = [
         verify_component_clopenness(loc(space, wide), wide, cover),

@@ -129,11 +129,6 @@ def foliation_space(section: LocalSubgroupoid, atlas: Atlas) -> FiniteSpace:
     return generate_topology(section.space, extras)
 
 
-def _report(theorem, hypothesis, conclusion, counterexample=None, details=None):
-    return TheoremReport(theorem, hypothesis, conclusion,
-                         counterexample, details or {})
-
-
 def _set_list(sets) -> list:
     return [sorted_labels(s) for s in sorted_sets(sets)]
 
@@ -172,7 +167,7 @@ def verify_component_clopenness(section: LocalSubgroupoid,
     for v in cover_sets:
         seed |= restrict_wide(wide, v).arrows
     generated = generate_wide(wide.parent, space.points, seed)
-    return _report(
+    return TheoremReport(
         "component-clopenness", True, True, None,
         {"cover": _set_list(cover_sets),
          "components_checked": len(transitivity_components(generated))})
@@ -215,8 +210,8 @@ def verify_local_connectivity_coherence(space: FiniteSpace,
     }
     # the conclusion is the total-coherence lemma (see
     # `is_totally_coherent`): every section on a finite space is coherent
-    return _report("local-connectivity-coherence", not failed, True, None,
-                   details)
+    return TheoremReport("local-connectivity-coherence", not failed, True,
+                         None, details)
 
 
 def verify_connectivity_globalization(space: FiniteSpace,
@@ -239,26 +234,30 @@ def verify_connectivity_globalization(space: FiniteSpace,
     m(z) & C <= A, yet v lies in m(z) & B. So no arrow of K = H joins A
     to B, and C is not one component.
 
-    Neither direction therefore carries a certificate; the report's own
-    invariant raises if either proof were wrong."""
+    The components partition X, so all are closed iff all are open, which
+    `all_closed` tests. Neither direction carries a certificate. With
+    every component connected, the forward proof answers
+    `equals_globalisation`, checked against the definition oracle by the
+    tests; otherwise `subgroupoid_coherence` computes it, and the
+    report's invariant raises if the converse proof were wrong."""
     if wide.base != space.points:
         raise ValidationError(
             "checker needs a wide subgroupoid over the whole space")
     comps = sorted_sets(transitivity_components(wide))
     connected = all(len(connected_components(space, comp)) == 1
                     for comp in comps)
-    closed = all(space.is_open(space.points - comp) for comp in comps)
-    equal = glob(loc(space, wide)) == wide
+    closed = all(map(space.is_open, comps))
+    equal = connected or subgroupoid_coherence(space, wide)[1]
     details = {
         "components": _set_list(comps),
         "all_connected": connected,
         "all_closed": closed,
         "equals_globalisation": equal,
     }
-    forward = _report("connectivity-globalization-forward",
-                      connected, equal, None, details)
-    converse = _report("connectivity-globalization-converse",
-                       equal and closed, connected, None, details)
+    forward = TheoremReport("connectivity-globalization-forward",
+                            connected, equal, None, details)
+    converse = TheoremReport("connectivity-globalization-converse",
+                             equal and closed, connected, None, details)
     return forward, converse
 
 
@@ -288,8 +287,8 @@ def verify_foliation_components(section: LocalSubgroupoid,
         "foliation_components": _set_list(fol_comps),
         "foliation_opens": _set_list(foliated.opens),
     }
-    return _report("foliation-components", True, counterexample is None,
-                   counterexample, details)
+    return TheoremReport("foliation-components", True,
+                         counterexample is None, counterexample, details)
 
 
 def verify_restriction_coherence(section: LocalSubgroupoid, cover,
@@ -317,19 +316,24 @@ def verify_restriction_coherence(section: LocalSubgroupoid, cover,
     cap on the whole section checked in the conclusion, since an open
     subspace has no more opens than the space. So only the members that
     are no m(x) are restricted and compared with their globalisation.
-    The member-by-member scan is `oracle.cover_restrictions_by_scan`."""
+    The member-by-member scan is `oracle.cover_restrictions_by_scan`.
+    A section that is not coherent breaks the same lemma, so it is a
+    germ or closure bug and raises `InvariantViolationError`."""
     space = section.space
     cover_sets = _open_cover(space, cover)
-    conc1 = coherence_report(section).globally_coherent
-    hyp1 = conc1 and is_totally_coherent(section, max_opens)[0]
-    first = _report("restriction-global-coherence", hyp1, conc1, None,
-                    {"opens_checked": len(space.opens)})
+    report = coherence_report(section)
+    if not report.coherent:
+        raise InvariantViolationError(
+            "section is not coherent; germ canonicalisation is broken")
+    # True by the total-coherence lemma, or ResourceLimitError past a cap
+    total = is_totally_coherent(section, max_opens)[0]
+    conc1 = report.globally_coherent
+    first = TheoremReport("restriction-global-coherence", conc1 and total,
+                          conc1, None, {"opens_checked": len(space.opens)})
 
     minimal = {space.minimal_open(x) for x in space.points}
     hyp2 = all(coherence_report(restrict_section(section, v)).globally_coherent
                for v in cover_sets if v not in minimal)
-    # True by the total-coherence lemma, or ResourceLimitError past a cap
-    conc2 = is_totally_coherent(section, max_opens)[0]
-    second = _report("restriction-total-coherence", hyp2, conc2, None,
-                     {"cover": _set_list(cover_sets)})
+    second = TheoremReport("restriction-total-coherence", hyp2, total, None,
+                           {"cover": _set_list(cover_sets)})
     return first, second

@@ -4,8 +4,10 @@ import pathlib
 import pytest
 
 import locglob as lg
+from locglob.errors import ResourceLimitError
 from locglob.oracle import (component_clopenness_by_scan,
                             cover_restrictions_by_scan,
+                            glob_by_subgroupoid_defn,
                             restriction_global_coherence_by_scan)
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
@@ -144,4 +146,23 @@ def cover_scan_matches_checker(section, cover) -> bool:
     if not flag:
         assert failing in map(frozenset, cover)
         assert failing not in {space.minimal_open(x) for x in space.points}
+    return flag
+
+
+def forward_lemma_matches_oracle(space, wide) -> bool:
+    """The connectivity checker's `equals_globalisation`, which the
+    forward lemma answers when every component is connected, against
+    glob(loc(H)) == H from the definition oracle, or from `glob` where
+    the oracle's arrow bound stops it; returns the common flag."""
+    forward, converse = lg.verify_connectivity_globalization(space, wide)
+    section = lg.loc(space, wide)
+    try:
+        recomputed = glob_by_subgroupoid_defn(section)
+    except ResourceLimitError:
+        recomputed = lg.glob(section)
+    flag = forward.details["equals_globalisation"]
+    assert flag == (recomputed == wide)
+    assert converse.details == forward.details
+    if forward.details["all_connected"]:
+        assert flag
     return flag

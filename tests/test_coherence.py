@@ -1,8 +1,11 @@
 import pytest
 
 import locglob as lg
+from locglob import cli
 from locglob.errors import (InvariantViolationError, ResourceLimitError,
                             ValidationError)
+
+from conftest import fixture_path
 
 
 def _single_chart_section(space, wide):
@@ -144,6 +147,23 @@ def test_connectivity_globalization(sp_sier, sp_disc2):
     assert converse.status == "pass"
 
 
+def test_restriction_checker_guards_coherence(monkeypatch, capsys, sp_nc,
+                                              s_nc):
+    # every section is coherent, so a report that says otherwise is a
+    # germ or closure bug; `verify` meets it in the restriction checker
+    broken = lg.CoherenceReport(False, False, ())
+    monkeypatch.setattr(lg.coherence, "coherence_report", lambda s: broken)
+    cover = [sp_nc.minimal_open(x) for x in sp_nc.points]
+    with pytest.raises(InvariantViolationError, match="not coherent"):
+        lg.verify_restriction_coherence(s_nc, cover)
+    assert cli.main(["verify", "--input", fixture_path("nc_pair_atlas.json"),
+                     "--format", "json"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error[invariant]: section is not coherent; germ "
+                   "canonicalisation is broken\n")
+
+
 def test_foliation_components_checker(sp_disc2, s_nc, a_nc):
     report = lg.verify_foliation_components(s_nc, a_nc)
     assert report.status == "counterexample"
@@ -173,6 +193,17 @@ def test_restriction_coherence(sp_disc2, sp_nc, s_nc):
     # s_nc is not globally coherent, so the first hypothesis fails
     assert first.status == "vacuous"
     assert second.status == "pass"
+
+    # one cap check covers both statements, globally coherent or not
+    for s, cap in ((section, 3), (s_nc, 4)):
+        opens = len(s.space.opens)
+        with pytest.raises(ResourceLimitError,
+                           match=f"^{opens} open sets exceeds the configured "
+                                 f"cap of {cap}$"):
+            lg.verify_restriction_coherence(s, [s.space.points], cap)
+        _, second = lg.verify_restriction_coherence(
+            s, [s.space.points], opens)
+        assert second.conclusion_holds
 
     with pytest.raises(ValidationError, match="open"):
         lg.verify_restriction_coherence(s_nc, [{"x", "y"}, sp_nc.points])

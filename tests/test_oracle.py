@@ -22,8 +22,9 @@ from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
 from locglob.spaces import _minimal_cover, label_key, sorted_labels
 
 from conftest import (clopenness_twin_agrees, cover_scan_matches_checker,
-                      fixture_path, random_open_cover,
-                      restriction_lemma_matches_scan, subsets)
+                      fixture_path, forward_lemma_matches_oracle,
+                      random_open_cover, restriction_lemma_matches_scan,
+                      subsets)
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -446,10 +447,14 @@ def test_second_hypothesis_fails_on_nc_fixture_with_the_whole_space():
 
 def test_verify_suite_restricts_no_minimal_cover_member(monkeypatch, capsys):
     # `verify` passes the minimal cover, so the restriction checker
-    # restricts nothing; `coherence_report` runs twice per section: the
-    # guard in `cli` and the first conclusion
+    # restricts nothing; `coherence_report` runs once per section, in
+    # the restriction checker. `glob` runs three times per section (the
+    # oracle cross-check, `coherence_report` and the foliation checker)
+    # and `loc` three times (`cli`, the clopenness checker and
+    # `coherence_report`); each runs once more for each of the 3
+    # sections whose globalisation has a component that is not connected
     calls = {"restrict_section": 0, "full_restriction": 0,
-             "coherence_report": 0}
+             "coherence_report": 0, "glob": 0, "loc": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -463,10 +468,33 @@ def test_verify_suite_restricts_no_minimal_cover_member(monkeypatch, capsys):
     counted(lg.sections, "full_restriction")
     counted(lg.coherence, "coherence_report")
     monkeypatch.setattr(cli, "coherence_report", lg.coherence.coherence_report)
+    # counted where they are looked up
+    for module in (cli, lg.coherence, oracle):
+        for name in ("glob", "loc"):
+            if hasattr(module, name):
+                counted(module, name)
     assert cli.main(["verify", "--suite", "3,6", "--format", "json"]) == 0
     capsys.readouterr()
     assert calls == {"restrict_section": 0, "full_restriction": 0,
-                     "coherence_report": 2 * 369}
+                     "coherence_report": 369,
+                     "glob": 3 * 369 + 3, "loc": 3 * 369 + 3}
+
+
+def test_forward_lemma_matches_oracle_on_every_3_6_subgroupoid(suite36):
+    # every wide subgroupoid H over X of every instance. The 369 with
+    # H = glob(loc(H)) are the globalisations of the 369 sections, all
+    # globally coherent; 3 of them have a component that is not connected
+    flags = [forward_lemma_matches_oracle(inst.space, h)
+             for inst in suite36.instances
+             for h in lg.enumerate_wide_subgroupoids(inst.groupoid,
+                                                     inst.space.points)]
+    assert (len(flags), sum(flags)) == (404, 369)
+
+
+def test_forward_lemma_matches_oracle_on_the_4_12_suite(suite412):
+    # glob(loc(glob(s))) = glob(s), so the flag is true on every section
+    assert all(forward_lemma_matches_oracle(inst.space, lg.glob(section))
+               for inst, section, _ in suite412.iter_sections())
 
 
 def test_clopenness_lemma_matches_scan(suite36):

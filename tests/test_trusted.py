@@ -9,14 +9,14 @@ run past the 4-point cap of the generated suite: random preorders on
 bundle of order-two groups and random seed arrows. Every trusted output
 must pass its public constructor unchanged, and the total-coherence and
 restriction lemmas must agree with their open-by-open scans. Sections
-of `loc(H)` are always globally coherent, so the restriction and
-component-clopenness lemmas are also checked on sections of random
-multi-chart atlases, which reach sections that are not. On preorders
-of 5 to 8 points the minimal-neighbourhood operations of `spaces` must
-agree with their explicit-family definitions in `oracle`, and on
-bundles of order-two groups over 5 to 7 points the wide subgroupoids
-over each m(x) must be the restrictions of those over the whole space,
-the extension lemma of the suite generator.
+of `loc(H)` are always globally coherent, so the restriction,
+component-clopenness and forward connectivity lemmas are also checked
+on sections of random multi-chart atlases, which reach sections that
+are not. On preorders of 5 to 8 points the minimal-neighbourhood
+operations of `spaces` must agree with their explicit-family
+definitions in `oracle`, and on bundles of order-two groups over 5 to 7
+points the wide subgroupoids over each m(x) must be the restrictions of
+those over the whole space, the extension lemma of the suite generator.
 """
 
 from hypothesis import Phase, assume, find, given, settings
@@ -28,8 +28,8 @@ from locglob.oracle import (close_family, relative_openness_by_traces,
 from locglob.spaces import set_key
 
 from conftest import (clopenness_twin_agrees, cover_scan_matches_checker,
-                      random_open_cover, restriction_lemma_matches_scan,
-                      section_by_first_chart)
+                      forward_lemma_matches_oracle, random_open_cover,
+                      restriction_lemma_matches_scan, section_by_first_chart)
 
 
 def _up_closure(points, edges) -> dict:
@@ -238,6 +238,18 @@ def test_clopenness_lemma_matches_scan_on_atlas_sections(atlas):
     for cover in ([u for u, _ in atlas.charts],
                   [space.minimal_open(x) for x in space.points]):
         assert clopenness_twin_agrees(space, wide, cover)
+
+
+@settings(max_examples=60, deadline=None)
+@given(atlases())
+def test_forward_lemma_matches_oracle_on_atlas_sections(atlas):
+    # H = glob(section), and H generated by every chart's arrows, which
+    # can hold arrows that no germ holds
+    space = atlas.space
+    charts = set().union(*(sub.arrows for _, sub in atlas.charts))
+    for wide in (lg.glob(lg.section_from_atlas(atlas)),
+                 lg.generate_wide(atlas.parent, space.points, charts)):
+        forward_lemma_matches_oracle(space, wide)
 
 
 @st.composite
