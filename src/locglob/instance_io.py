@@ -182,8 +182,14 @@ def load_instance(path) -> ParsedInstance:
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the digit limit
+        raise ParseError(f"{path} cannot be parsed: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests too deeply to parse") from exc
     return parse_instance(doc)
 
 

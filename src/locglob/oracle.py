@@ -18,7 +18,7 @@ from .groupoids import (Groupoid, WideSubgroupoid, _arrow_closure,
                         cyclic_group, generate_wide, group_bundle,
                         intersect_wide, pair_groupoid, restrict_wide,
                         transitivity_components)
-from .sections import (Atlas, LocalSubgroupoid, _germ, germ_leq, glob,
+from .sections import (Atlas, LocalSubgroupoid, _germ, glob,
                        restrict_section, section_from_atlas)
 from .spaces import (FiniteSpace, connected_components, enumerate_opens,
                      label_key, relative_openness, set_key, sorted_labels,
@@ -109,17 +109,28 @@ def glob_by_subgroupoid_defn(section: LocalSubgroupoid,
     dominates the given section, tested germ by germ and given up at the
     first point where the section's germ does not lie below H's.
 
+    H's germ at x is read as its arrow set: the arrows of H inside
+    m(x), `h.arrows & within` with `within` the arrows of the groupoid
+    inside m(x), listed once per point per call. The germ order is the
+    inclusion of such arrow sets (see `sections.germ_leq`). Dropping
+    `& within` would give the same answers, since the section's germ
+    already lies inside m(x); the cut is kept because it is the
+    definition of the germ.
+
     The candidates H are the groupoid's enumeration over the space, kept
     on the groupoid after its first search. That family depends only on
     the groupoid and the point set, never on a section or on `glob`, so
     sharing it across sections keeps this oracle independent of `glob`.
     """
     space = section.space
-    candidates = enumerate_wide_subgroupoids(section.parent, space.points,
-                                             max_arrows)
+    g = section.parent
+    candidates = enumerate_wide_subgroupoids(g, space.points, max_arrows)
+    germs = [(section.germs[x].rep.arrows,
+              g.arrows_within(space.minimal_open(x)))
+             for x in space.points]
     qualifying = [h for h in candidates
-                  if all(germ_leq(section.germs[x], _germ(space, h, x))
-                         for x in space.points)]
+                  if all(lower <= h.arrows & within
+                         for lower, within in germs)]
     # the full restriction always qualifies, so the family is never empty
     if not qualifying:
         raise InvariantViolationError(
@@ -138,28 +149,32 @@ def glob_by_refinements(section: LocalSubgroupoid, atlas: Atlas,
     of the atlas is refined further by such a family, and passing to a
     finer refinement only shrinks the generated subgroupoid, so the
     intersection over point-indexed families equals the intersection
-    over all refinements. Choices contributing the same piece arrows are
-    deduplicated; the generated subgroupoid depends only on the union of
-    the chosen pieces.
+    over all refinements.
+
+    The generated subgroupoid depends only on the union of the chosen
+    pieces, so the families are folded point by point into their
+    distinct partial unions, and each distinct union is closed once.
+    The fold reaches exactly the unions of the product's families, so
+    the intersection is the same; it never forms more unions than the
+    product, which forms one per point for each family. The guard still
+    counts the product's families, before anything is enumerated.
     """
     if section_from_atlas(atlas) != section:
         raise ValidationError("atlas does not define the given section")
     g = section.parent
     space = section.space
-    points = sorted_labels(space.points)
-    opens = enumerate_opens(space)
     options = []
-    for x in points:
+    for x in sorted_labels(space.points):
         pieces = set()
         for open_set, sub in atlas.charts:
             if x not in open_set:
                 continue
-            for v in opens:
+            for v in space.opens:
                 if x in v and v <= open_set:
                     pieces.add(restrict_wide(sub, v).arrows)
         if not pieces:
             raise ValidationError(f"no chart covers point {x!r}")
-        options.append(sorted(pieces, key=set_key))
+        options.append(pieces)
     total = 1
     for opts in options:
         total *= len(opts)
@@ -167,15 +182,11 @@ def glob_by_refinements(section: LocalSubgroupoid, atlas: Atlas,
             raise ResourceLimitError(
                 f"refinement enumeration needs more than "
                 f"{max_refinements} families")
-    closure_cache = {}
-    intersection = None
-    for choice in itertools.product(*options):
-        seed = frozenset().union(*choice)
-        closed = closure_cache.get(seed)
-        if closed is None:
-            closed = _arrow_closure(g, space.points, seed)
-            closure_cache[seed] = closed
-        intersection = closed if intersection is None else intersection & closed
+    unions = {frozenset()}
+    for opts in options:
+        unions = {u | piece for u in unions for piece in opts}
+    intersection = frozenset.intersection(
+        *(_arrow_closure(g, space.points, seed) for seed in unions))
     return WideSubgroupoid(g, space.points, intersection)
 
 

@@ -25,19 +25,18 @@ from .unionfind import UnionFind
 MAX_OPENS = 1 << 16
 
 
-def label_key(label) -> str:
-    """Sort key for point and arrow labels of mixed types."""
-    return str(label)
+# sort key for point and arrow labels of mixed types: their text
+label_key = str
 
 
 def set_key(subset) -> tuple:
     """Sort key for families of label sets: by size, then by the sorted
     labels themselves."""
-    return (len(subset), tuple(sorted(label_key(x) for x in subset)))
+    return (len(subset), tuple(sorted(map(str, subset))))
 
 
 def sorted_labels(labels) -> list:
-    return sorted(labels, key=label_key)
+    return sorted(labels, key=str)
 
 
 def sorted_sets(sets) -> list:

@@ -92,6 +92,32 @@ def section_by_first_chart(atlas):
     return lg.LocalSubgroupoid(atlas.space, atlas.charts[0][1].parent, germs)
 
 
+def refinement_options(atlas) -> list:
+    """For each point x in sorted order, the distinct arrow sets of the
+    pieces H_i|V of a point-indexed refinement: a chart (U_i, H_i) with
+    x in U_i and an open V with x in V <= U_i."""
+    space = atlas.space
+    return [{lg.restrict_wide(sub, v).arrows
+             for open_set, sub in atlas.charts if x in open_set
+             for v in space.opens if x in v and v <= open_set}
+            for x in sorted(space.points, key=str)]
+
+
+def glob_by_refinement_product(section, atlas):
+    """Product-loop twin of `glob_by_refinements`: walk every point-
+    indexed family of pieces, generate the subgroupoid of each family's
+    union, and intersect them all."""
+    space = section.space
+    closed = {}
+    for choice in itertools.product(*refinement_options(atlas)):
+        seed = frozenset().union(*choice)
+        if seed not in closed:
+            closed[seed] = lg.generate_wide(section.parent, space.points,
+                                            seed).arrows
+    return lg.WideSubgroupoid(section.parent, space.points,
+                              frozenset.intersection(*closed.values()))
+
+
 def random_open_cover(space, rng) -> list:
     """Nonempty opens drawn at random, then a random open for each point
     they leave uncovered."""

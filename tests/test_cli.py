@@ -217,6 +217,27 @@ def test_exit_code_parse_errors(capsys, tmp_path):
     assert "error[parse]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe{}", "is not UTF-8 text"),
+    (b"[" * 100_000 + b"]" * 100_000, "nests too deeply to parse"),
+    # `json` stops this at the interpreter's integer digit limit; an
+    # interpreter without the limit reaches the shape checks instead
+    (b'{"space": ' + b"1" * 5000 + b"}", None),
+], ids=["not-utf8", "deeply-nested", "long-integer"])
+@pytest.mark.parametrize("command", ["analyze", "verify", "oracle-check"])
+def test_undecodable_documents_are_parse_errors(capsys, tmp_path, command,
+                                                content, reason):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main([command, "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    expected = "error[parse]: " if reason is None else (
+        f"error[parse]: {path} {reason}")
+    assert captured.err.startswith(expected)
+
+
 def test_usage_errors(capsys):
     # argparse checks every argv mistake; each is one error[usage] line
     mistakes = [

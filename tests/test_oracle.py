@@ -19,11 +19,13 @@ from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
                             relative_openness_by_traces,
                             restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
+from locglob.sections import _germ
 from locglob.spaces import _minimal_cover, label_key, sorted_labels
 
 from conftest import (clopenness_twin_agrees, cover_scan_matches_checker,
                       fixture_path, forward_lemma_matches_oracle,
-                      random_open_cover, restriction_lemma_matches_scan,
+                      glob_by_refinement_product, random_open_cover,
+                      refinement_options, restriction_lemma_matches_scan,
                       subsets)
 
 
@@ -160,6 +162,22 @@ def test_glob_by_refinements_discrete_full(sp_disc2):
     assert lg.glob(section).arrows == g.identity_ids
 
 
+def test_glob_by_refinements_folds_a_million_families():
+    # discrete space on five points, one full pair-groupoid chart: each
+    # point picks one of 16 opens, so 16^5 families past the default
+    # guard; they reach 1,014 distinct unions, and only the union of the
+    # singleton pieces closes to the identities
+    points = {str(i) for i in range(1, 6)}
+    space = lg.space_from_basis(points, [{p} for p in points])
+    g = lg.pair_groupoid(points)
+    atlas = lg.Atlas(space, ((space.points, lg.full_wide(g, g.objects)),))
+    section = lg.section_from_atlas(atlas)
+    with pytest.raises(ResourceLimitError, match="more than 200000"):
+        glob_by_refinements(section, atlas)
+    folded = glob_by_refinements(section, atlas, max_refinements=16 ** 5)
+    assert folded.arrows == g.identity_ids
+
+
 def test_glob_by_refinements_validation(sp_ind2):
     # on the indiscrete space the full and identities-only charts give
     # different germs, so the atlases define different sections
@@ -188,6 +206,65 @@ def test_glob_by_refinements_compares_sections_by_value(sp_ind2):
     smaller = lg.loc(sp_ind2, lg.identities_only(g, g.objects))
     with pytest.raises(ValidationError, match="does not define"):
         glob_by_refinements(smaller, atlas)
+
+
+def test_glob_by_refinements_guard_counts_the_product(s_nc, a_nc):
+    # the guard counts the product's families, not the distinct unions
+    # the fold visits: one family fewer than the product is refused
+    product = math.prod(map(len, refinement_options(a_nc)))
+    assert product == 125
+    with pytest.raises(ResourceLimitError,
+                       match=f"more than {product - 1} families"):
+        glob_by_refinements(s_nc, a_nc, max_refinements=product - 1)
+    assert (glob_by_refinements(s_nc, a_nc, max_refinements=product)
+            == lg.glob(s_nc))
+
+
+def test_refinement_fold_matches_product_twin_on_the_3_6_suite(suite36):
+    checked = 0
+    for _, section, atlas in suite36.iter_sections():
+        assert (glob_by_refinements(section, atlas)
+                == glob_by_refinement_product(section, atlas))
+        checked += 1
+    assert checked == 369
+
+
+def test_refinement_fold_matches_product_twin_where_not_globally_coherent(
+        suite412):
+    failing = [(section, atlas) for _, section, atlas
+               in suite412.iter_sections()
+               if not lg.coherence_report(section).globally_coherent]
+    assert len(failing) == 72
+    for section, atlas in failing:
+        folded = glob_by_refinements(section, atlas)
+        assert folded == glob_by_refinement_product(section, atlas)
+        assert folded == lg.glob(section)
+
+
+def test_definition_oracle_germs_are_the_arrow_sets_of_germ(suite36):
+    # the definition oracle reads H's germ at x as the arrows of H
+    # inside m(x); `_germ` restricts H to m(x)
+    checked = 0
+    for inst in suite36.instances:
+        space, g = inst.space, inst.groupoid
+        for h in lg.enumerate_wide_subgroupoids(g, space.points):
+            for x in space.points:
+                within = g.arrows_within(space.minimal_open(x))
+                assert h.arrows & within == _germ(space, h, x).rep.arrows
+                checked += 1
+    assert checked > 1000
+
+
+def test_glob_oracles_call_neither_glob_nor_germ(monkeypatch, s_nc, a_nc):
+    def refuse(*args):
+        raise AssertionError("an oracle called the code it checks")
+
+    expected = lg.glob(s_nc)
+    for module in (oracle, lg.sections):
+        monkeypatch.setattr(module, "glob", refuse)
+        monkeypatch.setattr(module, "_germ", refuse)
+    assert glob_by_subgroupoid_defn(s_nc, max_arrows=32) == expected
+    assert glob_by_refinements(s_nc, a_nc) == expected
 
 
 def test_cross_check_glob_nc(s_nc, a_nc):

@@ -12,24 +12,31 @@ restriction lemmas must agree with their open-by-open scans. Sections
 of `loc(H)` are always globally coherent, so the restriction,
 component-clopenness and forward connectivity lemmas are also checked
 on sections of random multi-chart atlases, which reach sections that
-are not. On preorders of 5 to 8 points the minimal-neighbourhood
-operations of `spaces` must agree with their explicit-family
-definitions in `oracle`, and on bundles of order-two groups over 5 to 7
-points the wide subgroupoids over each m(x) must be the restrictions of
-those over the whole space, the extension lemma of the suite generator.
+are not; there the refinement oracle's fold by distinct unions must
+also equal its product-loop twin. On preorders of 5 to 8 points the
+minimal-neighbourhood operations of `spaces` must agree with their
+explicit-family definitions in `oracle`, and on bundles of order-two
+groups over 5 to 7 points the wide subgroupoids over each m(x) must be
+the restrictions of those over the whole space, the extension lemma of
+the suite generator.
 """
+
+import math
 
 from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 import locglob as lg
-from locglob.oracle import (close_family, relative_openness_by_traces,
+from locglob.oracle import (close_family, glob_by_refinements,
+                            relative_openness_by_traces,
                             totally_coherent_by_scan)
 from locglob.spaces import set_key
 
 from conftest import (clopenness_twin_agrees, cover_scan_matches_checker,
-                      forward_lemma_matches_oracle, random_open_cover,
-                      restriction_lemma_matches_scan, section_by_first_chart)
+                      forward_lemma_matches_oracle,
+                      glob_by_refinement_product, random_open_cover,
+                      refinement_options, restriction_lemma_matches_scan,
+                      section_by_first_chart)
 
 
 def _up_closure(points, edges) -> dict:
@@ -250,6 +257,23 @@ def test_forward_lemma_matches_oracle_on_atlas_sections(atlas):
     for wide in (lg.glob(lg.section_from_atlas(atlas)),
                  lg.generate_wide(atlas.parent, space.points, charts)):
         forward_lemma_matches_oracle(space, wide)
+
+
+# past this many point-indexed families the product twin is too slow
+PRODUCT_TWIN_CAP = 4096
+
+
+@settings(max_examples=40, deadline=None)
+@given(atlases())
+def test_refinement_fold_matches_product_twin_on_atlas_sections(atlas):
+    # the fold by distinct unions against the product loop; where the
+    # product is too long to walk, against `glob`
+    section = lg.section_from_atlas(atlas)
+    product = math.prod(map(len, refinement_options(atlas)))
+    folded = glob_by_refinements(section, atlas, max_refinements=product)
+    if product <= PRODUCT_TWIN_CAP:
+        assert folded == glob_by_refinement_product(section, atlas)
+    assert folded == lg.glob(section)
 
 
 @st.composite
