@@ -264,25 +264,18 @@ def _inline(value) -> str | None:
 
 def _text_lines(value, indent: int) -> list:
     pad = "  " * indent
+    if not isinstance(value, (dict, list)):
+        return [f"{pad}{_inline(value)}"]
+    entries = ([(f"{key}:", item) for key, item in value.items()]
+               if isinstance(value, dict) else [("-", item) for item in value])
     lines = []
-    if isinstance(value, dict):
-        for key, item in value.items():
-            flat = _inline(item)
-            if flat is not None and len(flat) <= 72:
-                lines.append(f"{pad}{key}: {flat}")
-            else:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_text_lines(item, indent + 1))
-    elif isinstance(value, list):
-        for item in value:
-            flat = _inline(item)
-            if flat is not None and len(flat) <= 72:
-                lines.append(f"{pad}- {flat}")
-            else:
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(item, indent + 1))
-    else:
-        lines.append(f"{pad}{_inline(value)}")
+    for head, item in entries:
+        flat = _inline(item)
+        if flat is not None and len(flat) <= 72:
+            lines.append(f"{pad}{head} {flat}")
+        else:
+            lines.append(f"{pad}{head}")
+            lines.extend(_text_lines(item, indent + 1))
     return lines
 
 

@@ -226,11 +226,8 @@ class WideSubgroupoid:
 def wide_subgroupoid(parent: Groupoid, base, arrows=()) -> WideSubgroupoid:
     """Build a wide subgroupoid, adding the identity arrows of the base."""
     base = frozenset(base)
-    if not base <= parent.objects:
-        raise ValidationError(
-            f"base contains unknown objects: "
-            f"{sorted_labels(base - parent.objects)}")
-    ids = {parent.identity[u] for u in base}
+    # the constructor rejects unknown objects first, with its own message
+    ids = {parent.identity[u] for u in base & parent.objects}
     return WideSubgroupoid(parent, base, frozenset(arrows) | ids)
 
 
@@ -374,38 +371,6 @@ def _check_printable_labels(labels, what):
         seen[s] = x
 
 
-def pair_groupoid(points) -> Groupoid:
-    """One arrow p:q for every ordered pair; compose(p:q, q:r) = p:r."""
-    pts = frozenset(points)
-    if not pts:
-        raise ValidationError("pair groupoid needs at least one point")
-    _check_printable_labels(pts, "point")
-    aid = {(p, q): f"{p}:{q}" for p in pts for q in pts}
-    source = {aid[(p, q)]: p for (p, q) in aid}
-    target = {aid[(p, q)]: q for (p, q) in aid}
-    identity = {p: aid[(p, p)] for p in pts}
-    inverse = {aid[(p, q)]: aid[(q, p)] for (p, q) in aid}
-    table = {}
-    for p in pts:
-        for q in pts:
-            for r in pts:
-                table[(aid[(p, q)], aid[(q, r)])] = aid[(p, r)]
-    return Groupoid(pts, source, target, identity, inverse, table)
-
-
-def identity_groupoid(points) -> Groupoid:
-    """Only identity loops: the discrete groupoid on the points."""
-    pts = frozenset(points)
-    _check_printable_labels(pts, "point")
-    aid = {p: f"{p}:{p}" for p in pts}
-    source = {aid[p]: p for p in pts}
-    target = dict(source)
-    identity = {p: aid[p] for p in pts}
-    inverse = {aid[p]: aid[p] for p in pts}
-    table = {(aid[p], aid[p]): aid[p] for p in pts}
-    return Groupoid(pts, source, target, identity, inverse, table)
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group given by its multiplication table."""
@@ -456,6 +421,57 @@ def cyclic_group(order: int) -> FiniteGroup:
     return finite_group(els, 0, mul)
 
 
+_TRIVIAL_GROUP = cyclic_group(1)
+
+
+def _tabulate(pairs, group_at, name) -> Groupoid:
+    """An equivalence relation times a group over each class, on the
+    points it relates: an arrow name(x, y, k) for each pair (x, y) and
+    each k in group_at(x), which must be the group over all of x's class.
+    (x, y, k1) then (y, z, k2) is (x, z, k1 k2); the identity of x is
+    (x, x, unit) and the inverse of (x, y, k) is (y, x, k^-1).
+
+    No law needs a check. The relation is reflexive, symmetric and
+    transitive, so identities, inverses and composites are arrows with
+    the right ends, and every composable pair is tabulated. The laws
+    hold in the first component, where (x, z) is the one pair from x to
+    z, and in the second, which `finite_group` has validated. The
+    callers' label checks keep the names distinct."""
+    aid = {(x, y, k): name(x, y, k)
+           for x, y in pairs for k in group_at(x).elements}
+    leaving = {}  # x -> ((y, k), id) for each arrow (x, y, k) leaving x
+    for (x, y, k), a in aid.items():
+        leaving.setdefault(x, []).append(((y, k), a))
+    source, target, inverse, table = {}, {}, {}, {}
+    for (x, y, k1), first in aid.items():
+        grp = group_at(x)
+        source[first], target[first] = x, y
+        inverse[first] = aid[y, x, grp.inv[k1]]
+        for (z, k2), second in leaving[y]:
+            table[first, second] = aid[x, z, grp.mul[k1, k2]]
+    identity = {x: aid[x, x, group_at(x).unit] for x in leaving}
+    return Groupoid(frozenset(leaving), source, target, identity, inverse,
+                    table)
+
+
+def pair_groupoid(points) -> Groupoid:
+    """One arrow p:q for every ordered pair; compose(p:q, q:r) = p:r."""
+    pts = frozenset(points)
+    if not pts:
+        raise ValidationError("pair groupoid needs at least one point")
+    _check_printable_labels(pts, "point")
+    return _tabulate([(p, q) for p in pts for q in pts],
+                     lambda x: _TRIVIAL_GROUP, lambda p, q, k: f"{p}:{q}")
+
+
+def identity_groupoid(points) -> Groupoid:
+    """Only identity loops: the discrete groupoid on the points."""
+    pts = frozenset(points)
+    _check_printable_labels(pts, "point")
+    return _tabulate([(p, p) for p in pts],
+                     lambda x: _TRIVIAL_GROUP, lambda p, q, k: f"{p}:{q}")
+
+
 def group_bundle(points, fibers) -> Groupoid:
     """A loops-only groupoid: source equals target everywhere, with the
     fiber group sitting over each point. Arrow ids are p#g."""
@@ -465,19 +481,8 @@ def group_bundle(points, fibers) -> Groupoid:
                  [(p,) for p in pts if p not in fibers])
     _raise_least("fiber keyed on unknown point {!r}",
                  [(p,) for p in fibers if p not in pts])
-    source, target, identity, inverse, table = {}, {}, {}, {}, {}
-    for p in pts:
-        grp = fibers[p]
-        aid = {k: f"{p}#{k}" for k in grp.elements}
-        for k in grp.elements:
-            source[aid[k]] = p
-            target[aid[k]] = p
-            inverse[aid[k]] = aid[grp.inv[k]]
-        identity[p] = aid[grp.unit]
-        for k1 in grp.elements:
-            for k2 in grp.elements:
-                table[(aid[k1], aid[k2])] = aid[grp.mul[(k1, k2)]]
-    return Groupoid(pts, source, target, identity, inverse, table)
+    return _tabulate([(p, p) for p in pts], fibers.__getitem__,
+                     lambda p, q, k: f"{p}#{k}")
 
 
 def rel_times_group(relation: WideSubgroupoid, group: FiniteGroup) -> Groupoid:
@@ -489,24 +494,8 @@ def rel_times_group(relation: WideSubgroupoid, group: FiniteGroup) -> Groupoid:
     if pg != pair_groupoid(pg.objects):
         raise ValidationError(
             "relation must be a wide subgroupoid of a pair groupoid")
-    pts = relation.base
-    pairs = {(pg.source[a], pg.target[a]) for a in relation.arrows}
-    aid = {(x, y, k): f"{x}:{y}#{k}"
-           for (x, y) in pairs for k in group.elements}
-    source, target, inverse, table = {}, {}, {}, {}
-    identity = {}
-    for (x, y, k), name in aid.items():
-        source[name] = x
-        target[name] = y
-        inverse[name] = aid[(y, x, group.inv[k])]
-    for x in pts:
-        identity[x] = aid[(x, x, group.unit)]
-    for (x, y, k1), first in aid.items():
-        for (y2, z, k2), second in aid.items():
-            if y2 != y:
-                continue
-            table[(first, second)] = aid[(x, z, group.mul[(k1, k2)])]
-    return Groupoid(pts, source, target, identity, inverse, table)
+    return _tabulate([(pg.source[a], pg.target[a]) for a in relation.arrows],
+                     lambda x: group, lambda x, y, k: f"{x}:{y}#{k}")
 
 
 def anchor_image(h: WideSubgroupoid) -> WideSubgroupoid:

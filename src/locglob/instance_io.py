@@ -46,15 +46,37 @@ def _expect(doc, key, kind, where):
     return value
 
 
-def _string_list(value, where) -> list:
+def _string_list(value, where, noun=None) -> list:
+    """A list of strings; given a `noun` for its entries, the first
+    entry that repeats an earlier one is rejected."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ParseError(f"{where} must be a list of strings")
+    if noun is not None:
+        seen = set()
+        for x in value:
+            if x in seen:
+                raise ParseError(f"{where} repeats the {noun} {x!r}")
+            seen.add(x)
     return value
+
+
+def _triple_table(rows, where, roles) -> dict:
+    """A table of string triples [a, b, c] as {(a, b): c}, each pair once."""
+    table = {}
+    for i, row in enumerate(rows):
+        if (not isinstance(row, list) or len(row) != 3
+                or not all(isinstance(v, str) for v in row)):
+            raise ParseError(f"{where}[{i}] must be a [{roles}] triple")
+        key = (row[0], row[1])
+        if key in table:
+            raise ParseError(f"{where} repeats the pair {key!r}")
+        table[key] = row[2]
+    return table
 
 
 def _parse_space(doc) -> FiniteSpace:
     points = _string_list(_expect(doc, "points", list, "space"),
-                          "space.points")
+                          "space.points", "label")
     basis_raw = _expect(doc, "basis", list, "space")
     basis = [frozenset(_string_list(b, f"space.basis[{i}]"))
              for i, b in enumerate(basis_raw)]
@@ -63,19 +85,10 @@ def _parse_space(doc) -> FiniteSpace:
 
 def _parse_group(doc, where) -> FiniteGroup:
     elements = _string_list(_expect(doc, "elements", list, where),
-                            f"{where}.elements")
+                            f"{where}.elements", "element")
     unit = _expect(doc, "unit", str, where)
-    triples = _expect(doc, "mul", list, where)
-    mul = {}
-    for i, row in enumerate(triples):
-        if (not isinstance(row, list) or len(row) != 3
-                or not all(isinstance(v, str) for v in row)):
-            raise ParseError(
-                f"{where}.mul[{i}] must be a [left, right, product] triple")
-        key = (row[0], row[1])
-        if key in mul:
-            raise ParseError(f"{where}.mul repeats the pair {key!r}")
-        mul[key] = row[2]
+    mul = _triple_table(_expect(doc, "mul", list, where), f"{where}.mul",
+                        "left, right, product")
     return finite_group(frozenset(elements), unit, mul)
 
 
@@ -97,18 +110,8 @@ def _parse_explicit_groupoid(doc, points) -> Groupoid:
         for k, v in mapping.items():
             if not isinstance(k, str) or not isinstance(v, str):
                 raise ParseError(f"groupoid.{name} must map strings to strings")
-    compose_raw = _expect(doc, "compose", list, "groupoid")
-    table = {}
-    for i, row in enumerate(compose_raw):
-        if (not isinstance(row, list) or len(row) != 3
-                or not all(isinstance(v, str) for v in row)):
-            raise ParseError(
-                f"groupoid.compose[{i}] must be a [first, second, composite] "
-                f"triple")
-        key = (row[0], row[1])
-        if key in table:
-            raise ParseError(f"groupoid.compose repeats the pair {key!r}")
-        table[key] = row[2]
+    table = _triple_table(_expect(doc, "compose", list, "groupoid"),
+                          "groupoid.compose", "first, second, composite")
     candidate = Groupoid(frozenset(points), source, target,
                          dict(identity_raw), dict(inverse_raw), table)
     return validate_groupoid(candidate)

@@ -18,7 +18,7 @@ from .groupoids import (Groupoid, WideSubgroupoid, _arrow_closure,
                         cyclic_group, generate_wide, group_bundle,
                         intersect_wide, pair_groupoid, restrict_wide,
                         transitivity_components)
-from .sections import (Atlas, LocalSubgroupoid, _germ, glob,
+from .sections import (Atlas, LocalSubgroupoid, glob,
                        restrict_section, section_from_atlas)
 from .spaces import (FiniteSpace, connected_components, enumerate_opens,
                      label_key, relative_openness, set_key, sorted_labels,
@@ -163,15 +163,16 @@ def glob_by_refinements(section: LocalSubgroupoid, atlas: Atlas,
         raise ValidationError("atlas does not define the given section")
     g = section.parent
     space = section.space
+    within = {v: g.arrows_within(v) for v in space.opens}
     options = []
     for x in sorted_labels(space.points):
         pieces = set()
         for open_set, sub in atlas.charts:
             if x not in open_set:
                 continue
-            for v in space.opens:
+            for v, inside in within.items():
                 if x in v and v <= open_set:
-                    pieces.add(restrict_wide(sub, v).arrows)
+                    pieces.add(sub.arrows & inside)  # the piece H_i|V
         if not pieces:
             raise ValidationError(f"no chart covers point {x!r}")
         options.append(pieces)
@@ -420,26 +421,39 @@ def _build_instance(space, g, kind, max_extra_arrows) -> Instance:
     (G) The charts agree on overlaps iff each K_x has, at every y in m(x)
     that an earlier chart holds, the germ K_x|m(y) the first such chart
     fixed: the earlier charts through y already agree with that one.
+    Germs are read as arrow sets, the chart's arrows inside m(y); within
+    one instance, the germs in sorted point order key the section.
+    (C) Only the first atlas of each key is built, so only it is
+    validated, and nothing skipped could fail: a later single chart is
+    one open chart over X, and distinct families of charts (m(x), K_x)
+    have distinct keys, K_x being the germ at x, so a family whose key
+    is taken is the canonical atlas of a section already found, whose
+    charts the gluing law makes agree.
     """
+    points = sorted_labels(space.points)
+    within = {x: g.arrows_within(space.minimal_open(x)) for x in points}
+    found = {}  # germ key -> charts of its first atlas, in insertion order
     wides = enumerate_wide_subgroupoids(g, space.points, max_extra_arrows)
-    atlases = [Atlas(space, ((space.points, h),)) for h in wides]
+    for h in wides:
+        key = tuple(h.arrows & within[x] for x in points)
+        found.setdefault(key, ((space.points, h),))
     partial = [((), {})]  # (charts, germ fixed at each covered point)
-    for x in sorted_labels(space.points):
+    for x in points:
         m = space.minimal_open(x)
         subs = [WideSubgroupoid(g, m, arrows) for arrows in sorted(
             {restrict_wide(h, m).arrows for h in wides}, key=set_key)]
-        candidates = [(sub, {y: _germ(space, sub, y) for y in m})
+        candidates = [(sub, {y: sub.arrows & within[y] for y in m})
                       for sub in subs]
         partial = [(charts + ((m, sub),), {**germs, **fixed})
                    for charts, fixed in partial
                    for sub, germs in candidates
                    if all(fixed.get(y, germ) == germ
                           for y, germ in germs.items())]
-    atlases += [Atlas(space, charts) for charts, _ in partial]
-    found = {}  # section -> first atlas defining it, in insertion order
-    for atlas in atlases:
-        found.setdefault(section_from_atlas(atlas), atlas)
-    return Instance(space, g, kind, tuple(found), tuple(found.values()))
+    for charts, fixed in partial:
+        found.setdefault(tuple(fixed[x] for x in points), charts)
+    atlases = tuple(Atlas(space, charts) for charts in found.values())
+    return Instance(space, g, kind, tuple(map(section_from_atlas, atlases)),
+                    atlases)
 
 
 def cross_check_glob(section: LocalSubgroupoid, atlas: Atlas,

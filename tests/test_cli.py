@@ -463,6 +463,36 @@ def test_bundle_fiber_on_an_unknown_point_exits_2(tmp_path, capsys):
         "error[validation]: fiber keyed on unknown point 'zz'")
 
 
+@pytest.mark.parametrize("fixture, path, labels, message", [
+    ("sier_bundle.json", ("space", "points"), ["1", "2", "1"],
+     "space.points repeats the label '1'"),
+    # the first repeat in list order, not the least repeated label
+    ("sier_bundle.json", ("space", "points"), ["2", "1", "2", "1"],
+     "space.points repeats the label '2'"),
+    ("sier_bundle.json", ("groupoid", "fibers", "2", "elements"),
+     ["0", "1", "0"],
+     "groupoid.fibers['2'].elements repeats the element '0'"),
+    ("rel_k2.json", ("groupoid", "group", "elements"), ["1", "0", "1"],
+     "groupoid.group.elements repeats the element '1'"),
+], ids=["points", "points-list-order", "fiber-elements", "group-elements"])
+@pytest.mark.parametrize("command", ["analyze", "verify", "oracle-check"])
+def test_repeated_labels_are_parse_errors(tmp_path, capsys, command, fixture,
+                                          path, labels, message):
+    # a repeated point or element used to be folded away, exiting 0
+    with open(fixture_path(fixture), encoding="utf-8") as handle:
+        doc = json.load(handle)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = labels
+    doc_path = tmp_path / "repeated.json"
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, "--input", str(doc_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[parse]: {message}\n"
+
+
 @pytest.mark.parametrize("name", sorted(INVALID_WITH_MANY_WITNESSES))
 def test_invalid_documents_report_the_least_witness(tmp_path, name):
     doc, message = INVALID_WITH_MANY_WITNESSES[name]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,3 +239,82 @@ def test_finite_group_validation():
                          ("a", "e"): "a", ("a", "a"): "e"})
     z3 = lg.cyclic_group(3)
     assert z3.inv[1] == 2 and z3.inv[0] == 0
+
+
+def _s3():
+    """The symmetric group on 0, 1, 2: each element is the string of the
+    images of 0, 1 and 2, and the product "p then q" sends i to q(p(i))."""
+    perms = ["".join(p) for p in itertools.permutations("012")]
+    mul = {(p, q): "".join(q[int(p[i])] for i in range(3))
+           for p in perms for q in perms}
+    return lg.finite_group(perms, "012", mul)
+
+
+TWIN_GROUPS = {"Z1": lg.cyclic_group(1), "Z2": lg.cyclic_group(2),
+               "Z3": lg.cyclic_group(3), "S3": _s3()}
+
+
+def _twin_cases():
+    """(case id, groupoid, relation pairs, group over each point, arrow
+    id of (x, y, k)) for the built-in kinds on 1 to 5 points, with the id
+    formats the kinds document: p:q, p#k and x:y#k."""
+    trivial = TWIN_GROUPS["Z1"]
+    for n in range(1, 6):
+        points = [str(i) for i in range(1, n + 1)]
+        full = [(x, y) for x in points for y in points]
+        diagonal = [(x, x) for x in points]
+        parity = [(x, y) for x, y in full if int(x) % 2 == int(y) % 2]
+        on_trivial = dict.fromkeys(points, trivial)
+        yield (f"pair-{n}", lg.pair_groupoid(points), full, on_trivial,
+               lambda x, y, k: f"{x}:{y}")
+        yield (f"identity-{n}", lg.identity_groupoid(points), diagonal,
+               on_trivial, lambda x, y, k: f"{x}:{y}")
+        groups = list(TWIN_GROUPS.values())
+        mixed = {x: groups[i % len(groups)] for i, x in enumerate(points)}
+        for name, fibers in [*((g, dict.fromkeys(points, grp))
+                               for g, grp in TWIN_GROUPS.items()),
+                             ("mixed", mixed)]:
+            yield (f"bundle-{name}-{n}", lg.group_bundle(points, fibers),
+                   diagonal, fibers, lambda x, y, k: f"{x}#{k}")
+        pg = lg.pair_groupoid(points)
+        for rel_name, pairs in (("full", full), ("parity", parity)):
+            relation = lg.wide_subgroupoid(
+                pg, points, [f"{x}:{y}" for x, y in pairs])
+            for name, grp in TWIN_GROUPS.items():
+                yield (f"rel-{rel_name}-{name}-{n}",
+                       lg.rel_times_group(relation, grp), pairs,
+                       dict.fromkeys(points, grp),
+                       lambda x, y, k: f"{x}:{y}#{k}")
+
+
+@pytest.mark.parametrize("case", list(_twin_cases()), ids=lambda c: c[0])
+def test_built_in_kinds_match_their_definitions(case):
+    # a twin of the shared table builder, written from the definition of
+    # a relation times a group: (x, y, k1) then (y, z, k2) is
+    # (x, z, k1 k2), and the non-abelian S3 fixes the order of the product
+    _, g, pairs, group_at, name = case
+    lg.validate_groupoid(g)
+    arrows = {name(x, y, k): (x, y, k)
+              for x, y in pairs for k in group_at[x].elements}
+    assert g.arrow_ids == set(arrows)
+    assert g.objects == {x for x, _ in pairs}
+    for a, (x, y, k) in arrows.items():
+        grp = group_at[x]
+        assert (g.source[a], g.target[a]) == (x, y)
+        assert g.inverse[a] == name(y, x, grp.inv[k])
+        if x == y and k == grp.unit:
+            assert g.identity[x] == a
+    composable = {(a, b) for a in arrows for b in arrows
+                  if arrows[a][1] == arrows[b][0]}
+    assert set(g.table) == composable
+    for a, b in composable:
+        (x, _, k1), (_, z, k2) = arrows[a], arrows[b]
+        assert g.table[a, b] == name(x, z, group_at[x].mul[k1, k2])
+
+
+def test_wide_subgroupoid_names_unknown_base_objects():
+    # the unknown objects are reported before any identity is looked up
+    with pytest.raises(ValidationError,
+                       match=r"^base contains unknown objects: \['y', 'z'\]$"):
+        lg.wide_subgroupoid(lg.pair_groupoid({"1", "2"}), {"1", "z", "y"},
+                            {"1:2"})

@@ -262,7 +262,10 @@ def test_glob_oracles_call_neither_glob_nor_germ(monkeypatch, s_nc, a_nc):
     expected = lg.glob(s_nc)
     for module in (oracle, lg.sections):
         monkeypatch.setattr(module, "glob", refuse)
-        monkeypatch.setattr(module, "_germ", refuse)
+        # `oracle` no longer imports `_germ`; refuse it there all the same
+        monkeypatch.setattr(module, "_germ", refuse, raising=False)
+    # both oracles read germs and pieces as arrow sets
+    monkeypatch.setattr(oracle, "restrict_wide", refuse)
     assert glob_by_subgroupoid_defn(s_nc, max_arrows=32) == expected
     assert glob_by_refinements(s_nc, a_nc) == expected
 
@@ -332,6 +335,21 @@ def _suite_digest(suite) -> str:
         digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
+
+
+def test_suite_builds_one_atlas_per_section(monkeypatch):
+    # lemma (C) of `_build_instance`: only the first atlas of each germ
+    # key is built and validated (773 atlases for 369 sections before)
+    built = []
+
+    def counting_atlas(*args):
+        built.append(lg.Atlas(*args))
+        return built[-1]
+
+    monkeypatch.setattr(oracle, "Atlas", counting_atlas)
+    suite = lg.instance_suite(3, 6)
+    assert len(built) == 369
+    assert [atlas for _, _, atlas in suite.iter_sections()] == built
 
 
 def test_instance_suites_are_pinned(suite36, suite412):
