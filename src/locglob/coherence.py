@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolationError, ResourceLimitError, ValidationError
-from .groupoids import (WideSubgroupoid, generate_wide, restrict_wide,
-                        transitivity_components)
+from .groupoids import (WideSubgroupoid, _generated_components,
+                        restrict_wide, transitivity_components)
 from .sections import (Atlas, LocalSubgroupoid, glob, loc, restrict_section,
                        section_from_atlas)
 from .spaces import (FiniteSpace, connected_components, enumerate_opens,
@@ -157,7 +157,12 @@ def verify_component_clopenness(section: LocalSubgroupoid,
     lies in H|V <= K, putting y in C. Closed: a z in D - C with some w in
     m(z) & C would land in C the same way, so D - C is open in D. The
     component-by-component scan is
-    `oracle.component_clopenness_by_scan`."""
+    `oracle.component_clopenness_by_scan`.
+
+    K's components are read off its generators, the arrows of the H|V,
+    without closing them: <S> and S link the same objects, as an
+    identity, inverse or composite of arrows joins objects that its
+    factors already link."""
     space = section.space
     if loc(space, wide) != section:
         raise ValidationError(
@@ -166,11 +171,11 @@ def verify_component_clopenness(section: LocalSubgroupoid,
     seed = set()
     for v in cover_sets:
         seed |= restrict_wide(wide, v).arrows
-    generated = generate_wide(wide.parent, space.points, seed)
+    components = _generated_components(wide.parent, space.points, seed)
     return TheoremReport(
         "component-clopenness", True, True, None,
         {"cover": _set_list(cover_sets),
-         "components_checked": len(transitivity_components(generated))})
+         "components_checked": len(components)})
 
 
 def verify_local_connectivity_coherence(space: FiniteSpace,
@@ -268,9 +273,18 @@ def verify_foliation_components(section: LocalSubgroupoid,
     globalisation are connected components of the space refined by the
     chart components. A failing instance yields a certificate rather
     than an exception; the bundled fixtures include one such recorded
-    counterexample."""
+    counterexample.
+
+    glob(s) is generated by the germ representatives, so its components
+    are read off them without closing: <S> and S link the same objects,
+    as an identity, inverse or composite of arrows joins objects that
+    its factors already link."""
     foliated = foliation_space(section, atlas)
-    glob_comps = sorted_sets(transitivity_components(glob(section)))
+    seed = set()
+    for germ in section.germs.values():
+        seed |= germ.rep.arrows
+    glob_comps = sorted_sets(_generated_components(
+        section.parent, section.space.points, seed))
     fol_comps = sorted_sets(connected_components(foliated, foliated.points))
     fol_set = set(fol_comps)
     counterexample = None

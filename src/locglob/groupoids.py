@@ -16,8 +16,11 @@ from functools import cached_property
 
 from .errors import (AssociativityError, EndpointMismatchError,
                      InverseLawError, MissingIdentityError, ValidationError)
-from .spaces import label_key, sorted_labels
-from .unionfind import UnionFind
+from .spaces import blocks, label_key, sorted_labels
+
+# regions whose arrow sets one groupoid keeps; past this many, each new
+# region evicts the oldest
+MAX_REGIONS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +53,13 @@ class Groupoid:
         reference back to the groupoid, so the memo goes with it."""
         return {}
 
+    @cached_property
+    def _regions(self) -> dict:
+        """region -> `arrows_within(region)`, for at most MAX_REGIONS
+        regions, oldest first. The groupoid never changes, so a kept set
+        stays right; the oracles scan arrows themselves and never read it."""
+        return {}
+
     def src(self, arrow):
         return self.source[arrow]
 
@@ -64,9 +74,18 @@ class Groupoid:
         return len(self.arrow_ids - self.identity_ids)
 
     def arrows_within(self, region) -> frozenset:
+        """Arrows with both ends in `region`, kept per region."""
         reg = frozenset(region)
-        return frozenset(a for a in self.source
-                         if self.source[a] in reg and self.target[a] in reg)
+        memo = self._regions
+        found = memo.get(reg)
+        if found is None:
+            if len(memo) >= MAX_REGIONS:
+                del memo[next(iter(memo))]
+            target = self.target
+            found = memo[reg] = frozenset(
+                a for a, x in self.source.items()
+                if x in reg and target[a] in reg)
+        return found
 
     @cached_property
     def _signature(self):
@@ -193,10 +212,13 @@ class WideSubgroupoid:
         _raise_least("not closed under inverse at {!r}",
                      [(a,) for a in self.arrows
                       if g.inverse[a] not in self.arrows])
+        leaving = {}  # the arrows, by source: the composable pairs only
+        for b in self.arrows:
+            leaving.setdefault(g.source[b], []).append(b)
         _raise_least("not closed under composition at ({!r}, {!r})",
-                     [(a, b) for a in self.arrows for b in self.arrows
-                      if g.target[a] == g.source[b]
-                      and g.table[(a, b)] not in self.arrows])
+                     [(a, b) for a in self.arrows
+                      for b in leaving.get(g.target[a], ())
+                      if g.table[(a, b)] not in self.arrows])
 
     @classmethod
     def _trusted(cls, parent: Groupoid, base: frozenset,
@@ -258,7 +280,8 @@ def full_restriction(g: Groupoid, region) -> Groupoid:
 
 
 def restrict_wide(h: WideSubgroupoid, region) -> WideSubgroupoid:
-    """Arrows of h with both endpoints in `region`.
+    """Arrows of h with both endpoints in `region`: h's arrows met with
+    the parent's arrows inside the region, which the parent keeps.
 
     Closed without a check: the identities of the region, the inverse of
     a kept arrow and the composite of two kept arrows all lie in h and
@@ -266,10 +289,8 @@ def restrict_wide(h: WideSubgroupoid, region) -> WideSubgroupoid:
     reg = frozenset(region)
     if not reg <= h.base:
         raise ValidationError("restriction region must lie inside the base")
-    g = h.parent
-    keep = frozenset(a for a in h.arrows
-                     if g.source[a] in reg and g.target[a] in reg)
-    return WideSubgroupoid._trusted(g, reg, keep)
+    return WideSubgroupoid._trusted(h.parent, reg,
+                                    h.arrows & h.parent.arrows_within(reg))
 
 
 def _arrow_closure(g: Groupoid, base: frozenset, seed,
@@ -325,11 +346,16 @@ def generate_wide(g: Groupoid, base, seed=()) -> WideSubgroupoid:
 
 def transitivity_components(h: WideSubgroupoid) -> frozenset:
     """Partition of the base: objects linked by arrows of h."""
-    uf = UnionFind(h.base)
-    g = h.parent
-    for a in h.arrows:
-        uf.union(g.source[a], g.target[a])
-    return uf.partition()
+    return _generated_components(h.parent, h.base, h.arrows)
+
+
+def _generated_components(g: Groupoid, base, seed) -> frozenset:
+    """Transitivity components of `generate_wide(g, base, seed)`, read
+    off the seed: objects linked by a chain of seed arrows. <S> and S
+    link the same objects, as an identity, inverse or composite of arrows
+    joins objects that its factors already link."""
+    source, target = g.source, g.target
+    return blocks(base, ((source[a], target[a]) for a in seed))
 
 
 def intersect_wide(subgroupoids) -> WideSubgroupoid:

@@ -16,7 +16,7 @@ from .errors import (InvariantViolationError, ResourceLimitError,
                      ValidationError)
 from .groupoids import (Groupoid, WideSubgroupoid, _arrow_closure,
                         cyclic_group, generate_wide, group_bundle,
-                        intersect_wide, pair_groupoid, restrict_wide,
+                        intersect_wide, pair_groupoid,
                         transitivity_components)
 from .sections import (Atlas, LocalSubgroupoid, glob,
                        restrict_section, section_from_atlas)
@@ -27,8 +27,17 @@ from .spaces import (FiniteSpace, connected_components, enumerate_opens,
 DEFAULT_ARROW_BOUND = 16
 
 
+def _arrows_inside(g: Groupoid, region) -> frozenset:
+    """The arrows of g with both ends in `region`, by a scan of every
+    arrow: the oracles' own `Groupoid.arrows_within`, so that no
+    reference value reads the region sets the groupoid keeps."""
+    reg = frozenset(region)
+    return frozenset(a for a in g.source
+                     if g.source[a] in reg and g.target[a] in reg)
+
+
 def _non_identity_arrows(g: Groupoid, base: frozenset) -> list:
-    return sorted((a for a in g.arrows_within(base)
+    return sorted((a for a in _arrows_inside(g, base)
                    if a not in g.identity_ids),
                   key=label_key)
 
@@ -126,7 +135,7 @@ def glob_by_subgroupoid_defn(section: LocalSubgroupoid,
     g = section.parent
     candidates = enumerate_wide_subgroupoids(g, space.points, max_arrows)
     germs = [(section.germs[x].rep.arrows,
-              g.arrows_within(space.minimal_open(x)))
+              _arrows_inside(g, space.minimal_open(x)))
              for x in space.points]
     qualifying = [h for h in candidates
                   if all(lower <= h.arrows & within
@@ -163,7 +172,7 @@ def glob_by_refinements(section: LocalSubgroupoid, atlas: Atlas,
         raise ValidationError("atlas does not define the given section")
     g = section.parent
     space = section.space
-    within = {v: g.arrows_within(v) for v in space.opens}
+    within = {v: _arrows_inside(g, v) for v in space.opens}
     options = []
     for x in sorted_labels(space.points):
         pieces = set()
@@ -246,7 +255,7 @@ def component_clopenness_by_scan(section: LocalSubgroupoid,
     space = section.space
     seed = set()
     for v in cover:
-        seed |= restrict_wide(wide, frozenset(v)).arrows
+        seed |= wide.arrows & _arrows_inside(wide.parent, v)  # wide|v
     generated = generate_wide(wide.parent, space.points, seed)
     ambient = {x: comp
                for comp in transitivity_components(wide) for x in comp}
@@ -415,9 +424,10 @@ def _build_instance(space, g, kind, max_extra_arrows) -> Instance:
     with the first atlas that defines it.
 
     (E) The wide K over m(x) are the restrictions H|m(x) of the wide H
-    over X: each H|m(x) is wide and closed (`restrict_wide`), and K is
-    H|m(x) for H = K plus the identities outside m(x), which is closed as
-    those identities compose only with themselves.
+    over X, read as `h.arrows & within[x]`: each H|m(x) is wide and
+    closed (see `restrict_wide`), and K is H|m(x) for H = K plus the
+    identities outside m(x), which is closed as those identities compose
+    only with themselves.
     (G) The charts agree on overlaps iff each K_x has, at every y in m(x)
     that an earlier chart holds, the germ K_x|m(y) the first such chart
     fixed: the earlier charts through y already agree with that one.
@@ -431,7 +441,7 @@ def _build_instance(space, g, kind, max_extra_arrows) -> Instance:
     charts the gluing law makes agree.
     """
     points = sorted_labels(space.points)
-    within = {x: g.arrows_within(space.minimal_open(x)) for x in points}
+    within = {x: _arrows_inside(g, space.minimal_open(x)) for x in points}
     found = {}  # germ key -> charts of its first atlas, in insertion order
     wides = enumerate_wide_subgroupoids(g, space.points, max_extra_arrows)
     for h in wides:
@@ -441,7 +451,7 @@ def _build_instance(space, g, kind, max_extra_arrows) -> Instance:
     for x in points:
         m = space.minimal_open(x)
         subs = [WideSubgroupoid(g, m, arrows) for arrows in sorted(
-            {restrict_wide(h, m).arrows for h in wides}, key=set_key)]
+            {h.arrows & within[x] for h in wides}, key=set_key)]
         candidates = [(sub, {y: sub.arrows & within[y] for y in m})
                       for sub in subs]
         partial = [(charts + ((m, sub),), {**germs, **fixed})

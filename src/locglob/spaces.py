@@ -19,7 +19,6 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import ResourceLimitError, ValidationError
-from .unionfind import UnionFind
 
 # the open family has up to 2^n members; past this many it is not listed
 MAX_OPENS = 1 << 16
@@ -41,6 +40,25 @@ def sorted_labels(labels) -> list:
 
 def sorted_sets(sets) -> list:
     return sorted(sets, key=set_key)
+
+
+def blocks(items, pairs) -> frozenset:
+    """Partition of `items` into the classes of the equivalence relation
+    generated by `pairs`, each a pair of items. Each pair merges the
+    smaller of its two blocks into the larger, so an item changes block
+    at most log2(len(items)) times. A merge keeps the larger block's
+    first item first, so each block is listed once, by its first item."""
+    block = {x: [x] for x in items}  # item -> its block, shared by members
+    for a, b in pairs:
+        big, small = block[a], block[b]
+        if big is small:
+            continue
+        if len(big) < len(small):
+            big, small = small, big
+        big += small
+        for x in small:
+            block[x] = big
+    return frozenset(frozenset(b) for x, b in block.items() if b[0] == x)
 
 
 def _minimal_cover(space) -> list:
@@ -168,11 +186,8 @@ def connected_components(space: FiniteSpace, subset) -> frozenset:
     unknown = sub - space.points
     if unknown:
         raise ValidationError(f"unknown points: {sorted_labels(unknown)}")
-    uf = UnionFind(sub)
-    for a in sub:
-        for b in space.minimal_open(a) & sub:
-            uf.union(a, b)
-    return uf.partition()
+    return blocks(sub, ((a, b) for a in sub
+                        for b in space.minimal_open(a) & sub))
 
 
 def relative_openness(space: FiniteSpace, part, whole) -> tuple:

@@ -5,10 +5,12 @@ import pytest
 
 import locglob as lg
 from locglob.errors import ResourceLimitError
+from locglob.groupoids import _generated_components
 from locglob.oracle import (component_clopenness_by_scan,
                             cover_restrictions_by_scan,
                             glob_by_subgroupoid_defn,
                             restriction_global_coherence_by_scan)
+from locglob.spaces import sorted_sets
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 
@@ -139,6 +141,27 @@ def clopenness_twin_agrees(space, wide, cover) -> bool:
     assert report.conclusion_holds == flag
     assert report.counterexample == certificate
     return flag
+
+
+def generator_components_match_closure(section, atlas, wide, cover):
+    """The components that the foliation and clopenness checkers read
+    off generators, against `transitivity_components` of the closed
+    subgroupoid: glob(s) from the germ representatives, and K from the
+    restrictions of `wide` to the cover members."""
+    space, g = section.space, section.parent
+    reps = set().union(*(germ.rep.arrows for germ in section.germs.values()))
+    closed = lg.transitivity_components(lg.generate_wide(g, space.points,
+                                                         reps))
+    assert _generated_components(g, space.points, reps) == closed
+    report = lg.verify_foliation_components(section, atlas)
+    assert report.details["transitivity_components"] == [
+        sorted(c, key=str) for c in sorted_sets(closed)]
+    seed = set().union(*(lg.restrict_wide(wide, v).arrows for v in cover))
+    closed = lg.transitivity_components(lg.generate_wide(g, space.points,
+                                                         seed))
+    assert _generated_components(g, space.points, seed) == closed
+    report = lg.verify_component_clopenness(lg.loc(space, wide), wide, cover)
+    assert report.details["components_checked"] == len(closed)
 
 
 def restriction_lemma_matches_scan(section) -> bool:

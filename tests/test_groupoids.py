@@ -1,14 +1,17 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import locglob as lg
 from locglob.errors import (AssociativityError, EndpointMismatchError,
                             InverseLawError, MissingIdentityError,
                             ValidationError)
-from locglob.groupoids import _arrow_closure
+from locglob.groupoids import MAX_REGIONS, _arrow_closure
+from locglob.oracle import _arrows_inside
+
+from conftest import subsets
 
 PAIR4 = lg.pair_groupoid({"1", "2", "3", "4"})
 NON_ID4 = sorted(PAIR4.arrow_ids - PAIR4.identity_ids)
@@ -176,11 +179,112 @@ def test_generate_wide_monotone(first, second):
     assert lg.is_subgroupoid(small, big)
 
 
+def _all_pairs_composition_message(g, arrows):
+    """The constructor's composition message from a scan of all |H|^2
+    pairs, with the number of pairs missing a composite."""
+    missing = [(a, b) for a in arrows for b in arrows
+               if g.target[a] == g.source[b] and g.table[a, b] not in arrows]
+    least = min(missing, key=lambda w: tuple(map(str, w)), default=None)
+    if least is None:
+        return None, 0
+    return ("not closed under composition at ({!r}, {!r})".format(*least),
+            len(missing))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeded_groupoids())
+def test_closure_check_names_the_all_pairs_least_witness(case):
+    # wide and closed under inverse, so only composition can fail
+    g, chosen = case
+    arrows = g.identity_ids | chosen | {g.inverse[a] for a in chosen}
+    message, missing = _all_pairs_composition_message(g, arrows)
+    assume(missing >= 2)
+    with pytest.raises(ValidationError) as exc:
+        lg.WideSubgroupoid(g, g.objects, arrows)
+    assert str(exc.value) == message
+
+
 def test_transitivity_components():
     g = lg.pair_groupoid({"1", "2", "3"})
     h = lg.generate_wide(g, g.objects, {"1:2"})
     assert lg.transitivity_components(h) == frozenset(
         {frozenset({"1", "2"}), frozenset({"3"})})
+
+
+def _index_matches_scan(g, regions, wides) -> int:
+    """Ask for every region twice, the second answer coming from the
+    groupoid's memo, and compare both with the oracle's arrow scan, and
+    every restriction to it with a scan of the subgroupoid's arrows;
+    returns the number of restrictions compared."""
+    restricted = 0
+    for region in regions:
+        scan = _arrows_inside(g, region)
+        assert g.arrows_within(region) == scan
+        assert g.arrows_within(set(region)) == scan
+        for h in wides:
+            if region <= h.base:
+                assert lg.restrict_wide(h, region).arrows == frozenset(
+                    a for a in h.arrows
+                    if g.source[a] in region and g.target[a] in region)
+                restricted += 1
+    return restricted
+
+
+def test_region_index_matches_scan_on_the_suite_groupoids(suite36, suite412):
+    for suite in (suite36, suite412):
+        groupoids = {id(inst.groupoid): inst.groupoid
+                     for inst in suite.instances}
+        restricted = sum(
+            _index_matches_scan(g, subsets(g.objects),
+                                lg.enumerate_wide_subgroupoids(g, g.objects))
+            for g in groupoids.values())
+        assert len(groupoids) == 2 * suite.max_points
+        assert restricted > 100
+
+
+@st.composite
+def groupoids_with_regions(draw):
+    """A pair groupoid, a bundle of cyclic groups or a random equivalence
+    relation times a cyclic group on 1 to 6 points, with random regions
+    and a random wide subgroupoid over all its objects."""
+    points = [str(i) for i in range(1, draw(st.integers(1, 6)) + 1)]
+    kind = draw(st.sampled_from(["pair", "bundle", "relation"]))
+    if kind == "pair":
+        g = lg.pair_groupoid(points)
+    elif kind == "bundle":
+        g = lg.group_bundle(points, {
+            p: lg.cyclic_group(draw(st.integers(1, 3))) for p in points})
+    else:
+        pg = lg.pair_groupoid(points)
+        relation = lg.generate_wide(pg, points, draw(
+            st.sets(st.sampled_from(sorted(pg.arrow_ids)), max_size=4)))
+        g = lg.rel_times_group(relation,
+                               lg.cyclic_group(draw(st.integers(1, 3))))
+    regions = draw(st.lists(st.frozensets(st.sampled_from(points)),
+                            min_size=1, max_size=10))
+    seed = draw(st.sets(st.sampled_from(sorted(g.arrow_ids)), max_size=4))
+    return g, regions, lg.generate_wide(g, points, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(groupoids_with_regions())
+def test_region_index_matches_scan_on_random_groupoids(case):
+    g, regions, h = case
+    _index_matches_scan(g, regions, [h, lg.full_wide(g, g.objects)])
+
+
+def test_region_memo_stays_within_its_bound():
+    # 512 regions, twice the bound, asked for twice in the same order:
+    # each new region evicts the oldest, and every answer stays right
+    g = lg.pair_groupoid(map(str, range(9)))
+    h = lg.generate_wide(g, g.objects, {"0:1", "1:2", "3:4", "5:6", "6:8"})
+    regions = subsets(g.objects)
+    assert len(regions) == 2 * MAX_REGIONS
+    for _ in range(2):
+        for region in regions:
+            _index_matches_scan(g, [region], [h])
+            assert len(g._regions) <= MAX_REGIONS
+    assert list(g._regions) == regions[-MAX_REGIONS:]
 
 
 def test_intersect_wide():

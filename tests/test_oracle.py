@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -24,6 +25,7 @@ from locglob.spaces import _minimal_cover, label_key, sorted_labels
 
 from conftest import (clopenness_twin_agrees, cover_scan_matches_checker,
                       fixture_path, forward_lemma_matches_oracle,
+                      generator_components_match_closure,
                       glob_by_refinement_product, random_open_cover,
                       refinement_options, restriction_lemma_matches_scan,
                       subsets)
@@ -264,8 +266,10 @@ def test_glob_oracles_call_neither_glob_nor_germ(monkeypatch, s_nc, a_nc):
         monkeypatch.setattr(module, "glob", refuse)
         # `oracle` no longer imports `_germ`; refuse it there all the same
         monkeypatch.setattr(module, "_germ", refuse, raising=False)
-    # both oracles read germs and pieces as arrow sets
-    monkeypatch.setattr(oracle, "restrict_wide", refuse)
+    # both oracles read germs and pieces as arrow sets, from their own
+    # scan: neither restricts nor reads the regions the groupoid keeps
+    monkeypatch.setattr(oracle, "restrict_wide", refuse, raising=False)
+    monkeypatch.setattr(lg.Groupoid, "arrows_within", refuse)
     assert glob_by_subgroupoid_defn(s_nc, max_arrows=32) == expected
     assert glob_by_refinements(s_nc, a_nc) == expected
 
@@ -543,11 +547,12 @@ def test_second_hypothesis_fails_on_nc_fixture_with_the_whole_space():
 def test_verify_suite_restricts_no_minimal_cover_member(monkeypatch, capsys):
     # `verify` passes the minimal cover, so the restriction checker
     # restricts nothing; `coherence_report` runs once per section, in
-    # the restriction checker. `glob` runs three times per section (the
-    # oracle cross-check, `coherence_report` and the foliation checker)
-    # and `loc` three times (`cli`, the clopenness checker and
-    # `coherence_report`); each runs once more for each of the 3
-    # sections whose globalisation has a component that is not connected
+    # the restriction checker. `glob` runs twice per section (the oracle
+    # cross-check and `coherence_report`; the foliation checker reads the
+    # components off the germs) and `loc` three times (`cli`, the
+    # clopenness checker and `coherence_report`); each runs once more for
+    # each of the 3 sections whose globalisation has a component that is
+    # not connected
     calls = {"restrict_section": 0, "full_restriction": 0,
              "coherence_report": 0, "glob": 0, "loc": 0}
 
@@ -572,7 +577,50 @@ def test_verify_suite_restricts_no_minimal_cover_member(monkeypatch, capsys):
     capsys.readouterr()
     assert calls == {"restrict_section": 0, "full_restriction": 0,
                      "coherence_report": 369,
-                     "glob": 3 * 369 + 3, "loc": 3 * 369 + 3}
+                     "glob": 2 * 369 + 3, "loc": 3 * 369 + 3}
+
+
+def test_verify_suite_scans_each_region_once(monkeypatch, capsys):
+    # the suite shares one pair groupoid and one Z/2 bundle per point
+    # count, and each keeps the arrows inside every region it is asked
+    # for: one scan per distinct (groupoid, region), never evicted here.
+    # Each nonempty subset of 1..n is some minimal neighbourhood, so the
+    # two groupoids on n points scan 2^n - 1 regions each
+    misses = []
+
+    class Regions(dict):
+        def __setitem__(self, region, arrows):
+            misses.append(region)
+            super().__setitem__(region, arrows)
+
+    regions = functools.cached_property(lambda self: Regions())
+    regions.__set_name__(lg.Groupoid, "_regions")
+    monkeypatch.setattr(lg.Groupoid, "_regions", regions)
+    assert cli.main(["verify", "--suite", "3,6", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(misses) == 2 * (1 + 3 + 7)
+
+
+def test_generator_components_match_closure_on_the_3_6_suite(suite36):
+    # H = glob(section), with the minimal cover and the atlas's charts
+    for inst, section, atlas in suite36.iter_sections():
+        wide = lg.glob(section)
+        for cover in (_minimal_cover(inst.space),
+                      [u for u, _ in atlas.charts]):
+            generator_components_match_closure(section, atlas, wide, cover)
+
+
+def test_generator_components_match_closure_where_not_globally_coherent(
+        suite412):
+    failing = [(inst, section, atlas) for inst, section, atlas
+               in suite412.iter_sections()
+               if not lg.coherence_report(section).globally_coherent]
+    assert len(failing) == 72
+    for inst, section, atlas in failing:
+        full = lg.full_wide(inst.groupoid, inst.space.points)
+        for wide in (lg.glob(section), full):
+            generator_components_match_closure(
+                section, atlas, wide, _minimal_cover(inst.space))
 
 
 def test_forward_lemma_matches_oracle_on_every_3_6_subgroupoid(suite36):

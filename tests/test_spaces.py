@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import locglob as lg
 from locglob.errors import ResourceLimitError, ValidationError
 from locglob.oracle import all_topologies, connected_by_partition
-from locglob.spaces import MAX_OPENS
+from locglob.spaces import MAX_OPENS, blocks
 
 from conftest import subsets
 
@@ -214,3 +214,35 @@ def test_open_listing_stops_as_soon_as_it_passes_the_bound(monkeypatch):
     with pytest.raises(ResourceLimitError, match="more than 40 open sets"):
         space.opens
     assert _CountedUnions.unions == 40
+
+
+def _blocks_by_search(items, pairs) -> frozenset:
+    """Definitional twin of `blocks`: the items reachable from each item
+    along the pairs, taken both ways, by a plain depth-first search."""
+    neighbours = {x: set() for x in items}
+    for a, b in pairs:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    parts, seen = set(), set()
+    for x in items:
+        if x in seen:
+            continue
+        part, todo = set(), [x]
+        while todo:
+            y = todo.pop()
+            if y not in part:
+                part.add(y)
+                todo.extend(neighbours[y])
+        seen |= part
+        parts.add(frozenset(part))
+    return frozenset(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.just(range(n)),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             max_size=3 * n) if n else st.just([]))))
+def test_blocks_match_search_partition(case):
+    items, pairs = case
+    assert blocks(items, pairs) == _blocks_by_search(items, pairs)

@@ -34,6 +34,7 @@ from locglob.spaces import set_key
 
 from conftest import (clopenness_twin_agrees, cover_scan_matches_checker,
                       forward_lemma_matches_oracle,
+                      generator_components_match_closure,
                       glob_by_refinement_product, random_open_cover,
                       refinement_options, restriction_lemma_matches_scan,
                       section_by_first_chart)
@@ -257,6 +258,21 @@ def test_forward_lemma_matches_oracle_on_atlas_sections(atlas):
     for wide in (lg.glob(lg.section_from_atlas(atlas)),
                  lg.generate_wide(atlas.parent, space.points, charts)):
         forward_lemma_matches_oracle(space, wide)
+
+
+@settings(max_examples=60, deadline=None)
+@given(atlases())
+def test_generator_components_match_closure_on_atlas_sections(atlas):
+    # H = glob(section), and H generated by every chart's arrows, with
+    # the charts' domains and the minimal cover
+    space = atlas.space
+    section = lg.section_from_atlas(atlas)
+    charts = set().union(*(sub.arrows for _, sub in atlas.charts))
+    for wide in (lg.glob(section),
+                 lg.generate_wide(atlas.parent, space.points, charts)):
+        for cover in ([u for u, _ in atlas.charts],
+                      [space.minimal_open(x) for x in space.points]):
+            generator_components_match_closure(section, atlas, wide, cover)
 
 
 # past this many point-indexed families the product twin is too slow
