@@ -275,6 +275,39 @@ def verify_foliation_components(section: LocalSubgroupoid,
     than an exception; the bundled fixtures include one such recorded
     counterexample.
 
+    The statement fails on finite spaces in general, and holds when every
+    chart component is connected. Let F be the foliated space, whose
+    minimal neighbourhood m'(x) is m(x) met with every chart component
+    holding x; rep(x) is the germ at x, the arrows inside m(x) of any
+    chart through x.
+
+    Lemma 1. Each connected component of F lies in one transitivity
+    component of glob(s). For y in m'(x), the chart giving x its germ
+    holds x and y in one component, so it has an arrow x -> y; both ends
+    lie in m(x), so the arrow is in rep(x) <= glob(s). The links y in
+    m'(x) generate the components of F.
+
+    Lemma 2. A chart component C that is connected in X is connected in
+    F and lies in one transitivity component of glob(s). C is linked by
+    pairs a, b of C with b in m(a). The chart has an arrow a -> b inside
+    m(a), which lies in rep(a) <= glob(s); every chart through a has germ
+    rep(a) at a, so it holds a and b in one component, b is in m'(a),
+    and the same chain links C in F.
+
+    Theorem. If every transitivity component of every chart is connected
+    in X, the statement holds. The components of glob(s) are read off
+    the links of the rep(x) (below), and a link x' -> y' of rep(x) lies
+    in one component of x's chart, which is connected in F by Lemma 2.
+    So each component of glob(s) lies in one component of F, and Lemma 1
+    gives the reverse inclusion.
+
+    Exact criterion. The statement holds iff every transitivity
+    component of every rep(x) lies in one connected component of F: "if"
+    is the theorem's last step with this as its hypothesis, and "only
+    if" holds as rep(x) <= glob(s). The tests check the criterion and
+    the theorem against this checker on the 3,6 and 4,12 suites, the
+    fixture and random atlases.
+
     glob(s) is generated by the germ representatives, so its components
     are read off them without closing: <S> and S link the same objects,
     as an identity, inverse or composite of arrows joins objects that

@@ -13,22 +13,16 @@ from locglob.errors import (InvariantViolationError, ResourceLimitError,
                             ValidationError)
 from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
                             close_family, component_clopenness_by_scan,
-                            cover_restrictions_by_scan,
-                            cross_check_enumeration,
-                            cross_check_glob, glob_by_refinements,
-                            glob_by_subgroupoid_defn,
+                            cross_check_enumeration, cross_check_glob,
+                            glob_by_refinements, glob_by_subgroupoid_defn,
                             relative_openness_by_traces,
                             restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
 from locglob.sections import _germ
-from locglob.spaces import _minimal_cover, label_key, sorted_labels
+from locglob.spaces import label_key, sorted_labels
 
-from conftest import (clopenness_twin_agrees, cover_scan_matches_checker,
-                      fixture_path, forward_lemma_matches_oracle,
-                      generator_components_match_closure,
-                      glob_by_refinement_product, random_open_cover,
-                      refinement_options, restriction_lemma_matches_scan,
-                      subsets)
+from conftest import (PAIRS, cases, pair_id, refinement_options, subsets,
+                      walk)
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -220,27 +214,6 @@ def test_glob_by_refinements_guard_counts_the_product(s_nc, a_nc):
         glob_by_refinements(s_nc, a_nc, max_refinements=product - 1)
     assert (glob_by_refinements(s_nc, a_nc, max_refinements=product)
             == lg.glob(s_nc))
-
-
-def test_refinement_fold_matches_product_twin_on_the_3_6_suite(suite36):
-    checked = 0
-    for _, section, atlas in suite36.iter_sections():
-        assert (glob_by_refinements(section, atlas)
-                == glob_by_refinement_product(section, atlas))
-        checked += 1
-    assert checked == 369
-
-
-def test_refinement_fold_matches_product_twin_where_not_globally_coherent(
-        suite412):
-    failing = [(section, atlas) for _, section, atlas
-               in suite412.iter_sections()
-               if not lg.coherence_report(section).globally_coherent]
-    assert len(failing) == 72
-    for section, atlas in failing:
-        folded = glob_by_refinements(section, atlas)
-        assert folded == glob_by_refinement_product(section, atlas)
-        assert folded == lg.glob(section)
 
 
 def test_definition_oracle_germs_are_the_arrow_sets_of_germ(suite36):
@@ -463,87 +436,6 @@ def test_suite_sections_round_trip_through_oracles(suite36):
     assert count >= 300
 
 
-def test_total_coherence_lemma_matches_scan(suite36):
-    # every section and its restriction to each member of its minimal
-    # cover: the lemma answer equals the open-by-open scan
-    checked = 0
-    for inst, section, _ in suite36.iter_sections():
-        cover = {inst.space.minimal_open(x) for x in inst.space.points}
-        for s in [section] + [lg.restrict_section(section, v) for v in cover]:
-            scanned = totally_coherent_by_scan(s)
-            assert scanned == (True, None)
-            assert lg.is_totally_coherent(s) == scanned
-            checked += 1
-    assert checked > 369
-
-
-def test_restriction_lemma_matches_scan(suite36):
-    flags = [restriction_lemma_matches_scan(section)
-             for _, section, _ in suite36.iter_sections()]
-    assert len(flags) >= 300 and all(flags)
-
-
-def test_restriction_lemma_matches_scan_where_it_fails(suite412):
-    # the 3,6 and 4,8 suites hold no section that is not globally
-    # coherent; 4,12 holds 72, all over pair groupoids
-    failing = [section for _, section, _ in suite412.iter_sections()
-               if not lg.coherence_report(section).globally_coherent]
-    assert len(failing) == 72
-    assert not any(restriction_lemma_matches_scan(s) for s in failing)
-
-
-def test_restriction_lemma_matches_scan_on_nc_fixture():
-    parsed = lg.load_instance(fixture_path("nc_pair_atlas.json"))
-    section = lg.section_from_atlas(parsed.atlas)
-    assert not restriction_lemma_matches_scan(section)
-    # every proper open set restricts to a globally coherent section
-    _, failing = restriction_global_coherence_by_scan(section)
-    assert failing == section.space.points
-
-
-def test_minimal_cover_lemma_matches_scan(suite36):
-    # every section restricts to a globally and totally coherent section
-    # on each m(x), so the second hypothesis holds on the minimal cover
-    flags = [cover_scan_matches_checker(section, _minimal_cover(inst.space))
-             for inst, section, _ in suite36.iter_sections()]
-    assert len(flags) == 369 and all(flags)
-
-
-def test_minimal_cover_lemma_matches_scan_where_not_globally_coherent(
-        suite412):
-    failing = [(inst, section) for inst, section, _
-               in suite412.iter_sections()
-               if not lg.coherence_report(section).globally_coherent]
-    assert len(failing) == 72
-    assert all(cover_scan_matches_checker(section, _minimal_cover(inst.space))
-               for inst, section in failing)
-
-
-def test_second_hypothesis_matches_cover_scan_on_other_covers(suite36):
-    # members that are no m(x) are still restricted and checked: the
-    # whole space, and seeded random open covers
-    rng = random.Random(1)
-    checked = 0
-    for inst, section, _ in suite36.iter_sections():
-        space = inst.space
-        covers = [[space.points]]
-        covers += [random_open_cover(space, rng) for _ in range(3)]
-        for cover in covers:
-            cover_scan_matches_checker(section, cover)
-            checked += 1
-    assert checked == 4 * 369
-
-
-def test_second_hypothesis_fails_on_nc_fixture_with_the_whole_space():
-    parsed = lg.load_instance(fixture_path("nc_pair_atlas.json"))
-    section = lg.section_from_atlas(parsed.atlas)
-    space = section.space
-    assert cover_scan_matches_checker(section, _minimal_cover(space))
-    assert not cover_scan_matches_checker(section, [space.points])
-    assert cover_restrictions_by_scan(section, [space.points]) == (
-        False, space.points)
-
-
 def test_verify_suite_restricts_no_minimal_cover_member(monkeypatch, capsys):
     # `verify` passes the minimal cover, so the restriction checker
     # restricts nothing; `coherence_report` runs once per section, in
@@ -601,87 +493,21 @@ def test_verify_suite_scans_each_region_once(monkeypatch, capsys):
     assert len(misses) == 2 * (1 + 3 + 7)
 
 
-def test_generator_components_match_closure_on_the_3_6_suite(suite36):
-    # H = glob(section), with the minimal cover and the atlas's charts
-    for inst, section, atlas in suite36.iter_sections():
-        wide = lg.glob(section)
-        for cover in (_minimal_cover(inst.space),
-                      [u for u, _ in atlas.charts]):
-            generator_components_match_closure(section, atlas, wide, cover)
+@pytest.mark.parametrize("pair", PAIRS, ids=map(pair_id, PAIRS))
+def test_fast_path_agrees_with_its_twin(pair):
+    # one line of the twin table in `conftest.py`: the row's fast path
+    # and oracle twin agree on every case, and the flags are pinned
+    row, input_set, wides, covers, seed, expected = pair
+    flags = walk(row, cases(input_set), wides, covers, random.Random(seed))
+    assert (len(flags), sum(flags)) == expected
 
 
-def test_generator_components_match_closure_where_not_globally_coherent(
-        suite412):
-    failing = [(inst, section, atlas) for inst, section, atlas
-               in suite412.iter_sections()
-               if not lg.coherence_report(section).globally_coherent]
-    assert len(failing) == 72
-    for inst, section, atlas in failing:
-        full = lg.full_wide(inst.groupoid, inst.space.points)
-        for wide in (lg.glob(section), full):
-            generator_components_match_closure(
-                section, atlas, wide, _minimal_cover(inst.space))
-
-
-def test_forward_lemma_matches_oracle_on_every_3_6_subgroupoid(suite36):
-    # every wide subgroupoid H over X of every instance. The 369 with
-    # H = glob(loc(H)) are the globalisations of the 369 sections, all
-    # globally coherent; 3 of them have a component that is not connected
-    flags = [forward_lemma_matches_oracle(inst.space, h)
-             for inst in suite36.instances
-             for h in lg.enumerate_wide_subgroupoids(inst.groupoid,
-                                                     inst.space.points)]
-    assert (len(flags), sum(flags)) == (404, 369)
-
-
-def test_forward_lemma_matches_oracle_on_the_4_12_suite(suite412):
-    # glob(loc(glob(s))) = glob(s), so the flag is true on every section
-    assert all(forward_lemma_matches_oracle(inst.space, lg.glob(section))
-               for inst, section, _ in suite412.iter_sections())
-
-
-def test_clopenness_lemma_matches_scan(suite36):
-    # the globalisation of every section, with the minimal cover and
-    # three seeded random open covers
-    rng = random.Random(0)
-    checked = 0
-    for inst, section, _ in suite36.iter_sections():
-        space = inst.space
-        covers = [[space.minimal_open(x) for x in space.points]]
-        covers += [random_open_cover(space, rng) for _ in range(3)]
-        for cover in covers:
-            assert clopenness_twin_agrees(space, lg.glob(section), cover)
-            checked += 1
-    assert checked == 4 * 369
-
-
-def test_clopenness_lemma_matches_scan_on_the_4_12_suite(suite412):
-    # H = glob(section) on every section, and H = the chart subgroupoid
-    # on every single-chart section, with the minimal cover
-    sections = charts = 0
-    for inst, section, atlas in suite412.iter_sections():
-        space = inst.space
-        cover = [space.minimal_open(x) for x in space.points]
-        assert clopenness_twin_agrees(space, lg.glob(section), cover)
-        sections += 1
-        if len(atlas.charts) == 1:
-            assert clopenness_twin_agrees(space, atlas.charts[0][1], cover)
-            charts += 1
-    assert (sections, charts) == (9753, 9681)
-
-
-def test_clopenness_lemma_matches_scan_on_nc_fixture():
-    parsed = lg.load_instance(fixture_path("nc_pair_atlas.json"))
-    space = parsed.space
-    section = lg.section_from_atlas(parsed.atlas)
-    rng = random.Random(0)
-    covers = [[u for u, _ in parsed.atlas.charts],
-              [space.minimal_open(x) for x in space.points]]
-    covers += [random_open_cover(space, rng) for _ in range(20)]
-    full = lg.full_wide(parsed.groupoid, space.points)
-    for wide in (lg.glob(section), full):
-        for cover in covers:
-            assert clopenness_twin_agrees(space, wide, cover)
+def test_nc_fixture_fails_restriction_only_on_the_whole_space():
+    # the scan walks the opens smallest first, and every proper one
+    # restricts to a globally coherent section
+    section, _ = cases("nc")[0]
+    assert restriction_global_coherence_by_scan(section) == (
+        False, section.space.points)
 
 
 def test_clopenness_scan_finds_a_failure_when_the_cover_is_not_open():

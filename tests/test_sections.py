@@ -4,8 +4,6 @@ import locglob as lg
 from locglob.errors import (AtlasConsistencyError, AtlasCoverError,
                             ValidationError)
 
-from conftest import section_by_first_chart
-
 
 def test_germ_at_validation(sp_sier):
     g = lg.pair_groupoid({"1", "2"})
@@ -64,13 +62,6 @@ def test_atlas_accepts_redundant_chart(sp_nc, nc_pair, a_nc, s_nc):
     extra = (frozenset({"p"}), lg.wide_subgroupoid(nc_pair, {"p"}))
     bigger = lg.Atlas(sp_nc, a_nc.charts + (extra,))
     assert lg.section_from_atlas(bigger) == s_nc
-
-
-def test_section_from_atlas_matches_first_chart_twin(suite36):
-    atlases = [a for inst in suite36.instances for a in inst.atlases]
-    assert len(atlases) > 100
-    for atlas in atlases:
-        assert lg.section_from_atlas(atlas) == section_by_first_chart(atlas)
 
 
 def test_section_from_atlas_rejects_the_empty_atlas():

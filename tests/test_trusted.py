@@ -1,43 +1,33 @@
 """Values built without re-validation, rebuilt through the validating
-public constructors.
+public constructors, and the rows of the twin table in `conftest.py` on
+random inputs.
 
 Restriction, closure, intersection, `loc`, `section_from_atlas`,
 `restrict_section`, `subspace` and the family-closing space builders
 skip the law checks, each on the strength of a lemma. These properties
 run past the 4-point cap of the generated suite: random preorders on
-5 to 7 points, given by their minimal opens, with a pair groupoid or a
-bundle of order-two groups and random seed arrows. Every trusted output
-must pass its public constructor unchanged, and the total-coherence and
-restriction lemmas must agree with their open-by-open scans. Sections
-of `loc(H)` are always globally coherent, so the restriction,
-component-clopenness and forward connectivity lemmas are also checked
-on sections of random multi-chart atlases, which reach sections that
-are not; there the refinement oracle's fold by distinct unions must
-also equal its product-loop twin. On preorders of 5 to 8 points the
-minimal-neighbourhood operations of `spaces` must agree with their
-explicit-family definitions in `oracle`, and on bundles of order-two
-groups over 5 to 7 points the wide subgroupoids over each m(x) must be
-the restrictions of those over the whole space, the extension lemma of
-the suite generator.
+5 to 7 points, given by their minimal opens, with random seed arrows in
+the pair groupoid, a bundle of order-two groups, the pair groupoid times
+Z/2 or an equivalence relation times Z/3. Every trusted output must pass
+its public constructor unchanged, and the total-coherence and
+restriction rows run on its sections. Sections of `loc(H)` are always
+globally coherent, so every row also runs on sections of random
+multi-chart atlases, which reach sections that are not. On preorders of
+5 to 8 points the minimal-neighbourhood operations of `spaces` must
+agree with their explicit-family definitions in `oracle`, and on
+bundles of order-two groups over 5 to 7 points the wide subgroupoids
+over each m(x) must be the restrictions of those over the whole space,
+the extension lemma of the suite generator.
 """
-
-import math
 
 from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 import locglob as lg
-from locglob.oracle import (close_family, glob_by_refinements,
-                            relative_openness_by_traces,
-                            totally_coherent_by_scan)
+from locglob.oracle import close_family, relative_openness_by_traces
 from locglob.spaces import set_key
 
-from conftest import (clopenness_twin_agrees, cover_scan_matches_checker,
-                      forward_lemma_matches_oracle,
-                      generator_components_match_closure,
-                      glob_by_refinement_product, random_open_cover,
-                      refinement_options, restriction_lemma_matches_scan,
-                      section_by_first_chart)
+from conftest import ROWS, walk
 
 
 def _up_closure(points, edges) -> dict:
@@ -81,9 +71,23 @@ def height_one_posets(draw, min_points, max_points):
 
 
 def _groupoids(draw, points):
+    """The Z/2 bundle half of the time, else the pair groupoid, the pair
+    groupoid times Z/2 or a random equivalence relation times Z/3. The
+    last two have vertex groups and non-loop arrows, so two arrows can
+    share two distinct ends."""
     if draw(st.booleans()):
-        return lg.pair_groupoid(points)
-    return lg.group_bundle(points, {p: lg.cyclic_group(2) for p in points})
+        return lg.group_bundle(points, {p: lg.cyclic_group(2) for p in points})
+    pair = lg.pair_groupoid(points)
+    kind = draw(st.sampled_from(["pair", "pair-z2", "rel-z3"]))
+    if kind == "pair":
+        return pair
+    if kind == "pair-z2":
+        return lg.rel_times_group(lg.full_wide(pair, points),
+                                  lg.cyclic_group(2))
+    free = sorted(pair.arrow_ids - pair.identity_ids)
+    links = draw(st.sets(st.sampled_from(free), max_size=len(points)))
+    return lg.rel_times_group(lg.generate_wide(pair, points, links),
+                              lg.cyclic_group(3))
 
 
 @st.composite
@@ -145,44 +149,38 @@ def _rebuilt_section(section):
                                germs)
 
 
-def _assert_trusted_space(space):
-    assert _rebuilt_space(space) == space
-
-
-def _assert_trusted_wide(h):
-    assert _rebuilt_wide(h) == h
-
-
-def _assert_trusted_section(section):
-    assert _rebuilt_section(section) == section
+def _assert_trusted(value):
+    rebuild = {lg.FiniteSpace: _rebuilt_space,
+               lg.WideSubgroupoid: _rebuilt_wide,
+               lg.LocalSubgroupoid: _rebuilt_section}[type(value)]
+    assert rebuild(value) == value
 
 
 @settings(max_examples=100, deadline=None)
 @given(instances())
 def test_trusted_outputs_pass_public_validation(case):
     space, minimal, g, seed, region, some_open, extras = case
-    _assert_trusted_space(space)
+    _assert_trusted(space)
     assert all(space.minimal_open(x) == m for x, m in minimal.items())
-    _assert_trusted_space(lg.subspace(space, region))
+    _assert_trusted(lg.subspace(space, region))
     finer = lg.generate_topology(space, extras)
-    _assert_trusted_space(finer)
+    _assert_trusted(finer)
     assert lg.is_finer(finer, space)
 
     h = lg.generate_wide(g, space.points, seed)
-    _assert_trusted_wide(h)
+    _assert_trusted(h)
     assert seed <= h.arrows
-    _assert_trusted_wide(lg.restrict_wide(h, region))
-    _assert_trusted_wide(lg.intersect_wide([h, lg.glob(lg.loc(space, h))]))
+    _assert_trusted(lg.restrict_wide(h, region))
+    _assert_trusted(lg.intersect_wide([h, lg.glob(lg.loc(space, h))]))
 
     section = lg.loc(space, h)
-    _assert_trusted_section(section)
+    _assert_trusted(section)
     assembled = lg.section_from_atlas(lg.canonical_atlas(section))
-    _assert_trusted_section(assembled)
+    _assert_trusted(assembled)
     assert assembled == section
-    _assert_trusted_section(lg.restrict_section(section, some_open))
+    _assert_trusted(lg.restrict_section(section, some_open))
     for x in space.points:
-        _assert_trusted_section(
-            lg.restrict_section(section, space.minimal_open(x)))
+        _assert_trusted(lg.restrict_section(section, space.minimal_open(x)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,8 +188,7 @@ def test_trusted_outputs_pass_public_validation(case):
 def test_total_coherence_lemma_matches_scan_past_the_cap(case):
     space, _, g, seed, _, some_open, _ = case
     section = lg.loc(space, lg.generate_wide(g, space.points, seed))
-    for s in (section, lg.restrict_section(section, some_open)):
-        assert lg.is_totally_coherent(s) == totally_coherent_by_scan(s)
+    ROWS["total-coherence"]((section, None, None, [some_open]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,8 +196,7 @@ def test_total_coherence_lemma_matches_scan_past_the_cap(case):
 def test_restriction_lemma_matches_scan_past_the_cap(case):
     space, _, g, seed, _, some_open, _ = case
     section = lg.loc(space, lg.generate_wide(g, space.points, seed))
-    for s in (section, lg.restrict_section(section, some_open)):
-        restriction_lemma_matches_scan(s)
+    ROWS["restriction"]((section, None, None, [some_open]))
 
 
 def _not_globally_coherent(atlas) -> bool:
@@ -215,81 +211,63 @@ def test_atlases_reach_a_section_that_is_not_globally_coherent():
     assert _not_globally_coherent(atlas)
 
 
+def _items(atlas) -> list:
+    return [(lg.section_from_atlas(atlas), atlas)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(atlases())
 def test_section_from_atlas_matches_first_chart_twin_past_the_cap(atlas):
-    assert lg.section_from_atlas(atlas) == section_by_first_chart(atlas)
+    walk("first-chart", _items(atlas))
 
 
 @settings(max_examples=40, deadline=None)
 @given(atlases())
 def test_restriction_lemma_matches_scan_on_atlas_sections(atlas):
-    restriction_lemma_matches_scan(lg.section_from_atlas(atlas))
+    walk("restriction", _items(atlas))
 
 
 @settings(max_examples=40, deadline=None)
 @given(atlases(), st.randoms(use_true_random=False))
 def test_minimal_cover_lemma_matches_scan_on_atlas_sections(atlas, rng):
-    section = lg.section_from_atlas(atlas)
-    space = atlas.space
-    assert cover_scan_matches_checker(
-        section, [space.minimal_open(x) for x in space.points])
-    for cover in ([space.points], random_open_cover(space, rng)):
-        cover_scan_matches_checker(section, cover)
+    assert walk("cover-scan", _items(atlas), (),
+                ("minimal", "whole", "random"), rng)[0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(atlases())
 def test_clopenness_lemma_matches_scan_on_atlas_sections(atlas):
-    space = atlas.space
-    wide = lg.glob(lg.section_from_atlas(atlas))
-    for cover in ([u for u, _ in atlas.charts],
-                  [space.minimal_open(x) for x in space.points]):
-        assert clopenness_twin_agrees(space, wide, cover)
+    assert all(walk("clopenness", _items(atlas), ("glob",),
+                    ("charts", "minimal")))
 
 
 @settings(max_examples=60, deadline=None)
 @given(atlases())
 def test_forward_lemma_matches_oracle_on_atlas_sections(atlas):
-    # H = glob(section), and H generated by every chart's arrows, which
-    # can hold arrows that no germ holds
-    space = atlas.space
-    charts = set().union(*(sub.arrows for _, sub in atlas.charts))
-    for wide in (lg.glob(lg.section_from_atlas(atlas)),
-                 lg.generate_wide(atlas.parent, space.points, charts)):
-        forward_lemma_matches_oracle(space, wide)
+    # H generated by every chart's arrows can hold arrows no germ holds
+    walk("forward", _items(atlas), ("glob", "charts"))
 
 
 @settings(max_examples=60, deadline=None)
 @given(atlases())
 def test_generator_components_match_closure_on_atlas_sections(atlas):
-    # H = glob(section), and H generated by every chart's arrows, with
-    # the charts' domains and the minimal cover
-    space = atlas.space
-    section = lg.section_from_atlas(atlas)
-    charts = set().union(*(sub.arrows for _, sub in atlas.charts))
-    for wide in (lg.glob(section),
-                 lg.generate_wide(atlas.parent, space.points, charts)):
-        for cover in ([u for u, _ in atlas.charts],
-                      [space.minimal_open(x) for x in space.points]):
-            generator_components_match_closure(section, atlas, wide, cover)
-
-
-# past this many point-indexed families the product twin is too slow
-PRODUCT_TWIN_CAP = 4096
+    walk("generator-components", _items(atlas), ("glob", "charts"),
+         ("charts", "minimal"))
 
 
 @settings(max_examples=40, deadline=None)
 @given(atlases())
 def test_refinement_fold_matches_product_twin_on_atlas_sections(atlas):
-    # the fold by distinct unions against the product loop; where the
-    # product is too long to walk, against `glob`
-    section = lg.section_from_atlas(atlas)
-    product = math.prod(map(len, refinement_options(atlas)))
-    folded = glob_by_refinements(section, atlas, max_refinements=product)
-    if product <= PRODUCT_TWIN_CAP:
-        assert folded == glob_by_refinement_product(section, atlas)
-    assert folded == lg.glob(section)
+    walk("fold", _items(atlas))
+
+
+@settings(max_examples=60, deadline=None)
+@given(atlases())
+def test_foliation_criterion_and_theorem_on_atlas_sections(atlas):
+    # both rows on each draw, so the second reads the first's report
+    items = _items(atlas)
+    walk("foliation-criterion", items)
+    walk("connected-charts-pass", items)
 
 
 @st.composite
