@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .coherence import (_set_list, coherence_report, foliation_space,
                         is_totally_coherent, subgroupoid_coherence,
@@ -279,9 +279,41 @@ def _text_lines(value, indent: int) -> list:
     return lines
 
 
+def _json(value, pad: str) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, for
+    dicts with str keys, lists, str, int, bool and None; any other type
+    raises TypeError. With `indent` set, `json.dumps` falls back to its
+    pure-Python encoder; here the C string encoder does the escaping."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return repr(value)
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        try:
+            body = (",\n" + inner).join(map(_quote, value))
+        except TypeError:  # not a list of strings
+            body = (",\n" + inner).join([_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        body = (",\n" + inner).join([_quote(k) + ": " + _json(value[k], inner)
+                                     for k in sorted(value)])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    raise TypeError(f"cannot render {kind.__name__} as JSON")
+
+
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return _json(doc, "")
     return "\n".join(_text_lines(doc, 0))
 
 

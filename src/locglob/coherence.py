@@ -18,7 +18,7 @@ from .groupoids import (WideSubgroupoid, _generated_components,
 from .sections import (Atlas, LocalSubgroupoid, glob, loc, restrict_section,
                        section_from_atlas)
 from .spaces import (FiniteSpace, connected_components, enumerate_opens,
-                     generate_topology, label_key, sorted_labels, sorted_sets)
+                     generate_topology, label_key, sorted_labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +130,12 @@ def foliation_space(section: LocalSubgroupoid, atlas: Atlas) -> FiniteSpace:
 
 
 def _set_list(sets) -> list:
-    return [sorted_labels(s) for s in sorted_sets(sets)]
+    """`[sorted_labels(s) for s in sorted_sets(sets)]`, sorting each set
+    once: the stable sort on (size, labels as text) keeps ties in the
+    order of `sets`, as `sorted_sets` does."""
+    lists = [sorted_labels(s) for s in sets]
+    lists.sort(key=lambda labels: (len(labels), [*map(str, labels)]))
+    return lists
 
 
 def _open_cover(space: FiniteSpace, cover) -> list:
@@ -248,7 +253,7 @@ def verify_connectivity_globalization(space: FiniteSpace,
     if wide.base != space.points:
         raise ValidationError(
             "checker needs a wide subgroupoid over the whole space")
-    comps = sorted_sets(transitivity_components(wide))
+    comps = transitivity_components(wide)
     connected = all(len(connected_components(space, comp)) == 1
                     for comp in comps)
     closed = all(map(space.is_open, comps))
@@ -316,22 +321,23 @@ def verify_foliation_components(section: LocalSubgroupoid,
     seed = set()
     for germ in section.germs.values():
         seed |= germ.rep.arrows
-    glob_comps = sorted_sets(_generated_components(
+    glob_comps = _set_list(_generated_components(
         section.parent, section.space.points, seed))
-    fol_comps = sorted_sets(connected_components(foliated, foliated.points))
-    fol_set = set(fol_comps)
+    fol_sets = connected_components(foliated, foliated.points)
+    fol_comps = _set_list(fol_sets)
     counterexample = None
-    for comp in glob_comps:
-        if comp not in fol_set:
+    for labels in glob_comps:
+        comp = frozenset(labels)
+        if comp not in fol_sets:
             counterexample = {
-                "transitivity_component": sorted_labels(comp),
+                "transitivity_component": labels,
                 "foliation_components_meeting_it":
-                    [sorted_labels(c) for c in fol_comps if c & comp],
+                    [c for c in fol_comps if not comp.isdisjoint(c)],
             }
             break
     details = {
-        "transitivity_components": _set_list(glob_comps),
-        "foliation_components": _set_list(fol_comps),
+        "transitivity_components": glob_comps,
+        "foliation_components": fol_comps,
         "foliation_opens": _set_list(foliated.opens),
     }
     return TheoremReport("foliation-components", True,

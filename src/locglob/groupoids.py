@@ -153,9 +153,12 @@ def validate_groupoid(candidate: Groupoid) -> Groupoid:
             raise EndpointMismatchError(
                 f"compose({a!r}, {b!r}) = {c!r} should run "
                 f"{g.source[a]!r} -> {g.target[b]!r}")
+    leaving = {x: [] for x in g.objects}  # arrows by source, in scan order
     for a in arrows:
-        for b in arrows:
-            if g.target[a] == g.source[b] and (a, b) not in g.table:
+        leaving[g.source[a]].append(a)
+    for a in arrows:
+        for b in leaving[g.target[a]]:
+            if (a, b) not in g.table:
                 raise ValidationError(
                     f"composition missing for composable pair ({a!r}, {b!r})")
     for a in arrows:
@@ -168,13 +171,9 @@ def validate_groupoid(candidate: Groupoid) -> Groupoid:
                 or g.table[(b, a)] != g.identity[g.target[a]]):
             raise InverseLawError(f"inverse law fails at arrow {a!r}")
     for a in arrows:
-        for b in arrows:
-            if g.target[a] != g.source[b]:
-                continue
+        for b in leaving[g.target[a]]:
             ab = g.table[(a, b)]
-            for c in arrows:
-                if g.target[b] != g.source[c]:
-                    continue
+            for c in leaving[g.target[b]]:
                 if g.table[(ab, c)] != g.table[(a, g.table[(b, c)])]:
                     raise AssociativityError(
                         f"associativity fails on triple ({a!r}, {b!r}, {c!r})",

@@ -231,8 +231,13 @@ def _generator_components(case):
 def _forward(case):
     """The connectivity checker's `equals_globalisation`, which the
     forward lemma answers when every component is connected, against
-    glob(loc(H)) == H from the definition oracle, or from `glob` where
-    the oracle's arrow bound stops it."""
+    glob(loc(H)) == H from the definition oracle, or, where its arrow
+    bound stops it, from the refinement oracle over the canonical atlas
+    of loc(H), one chart (m(x), rep(x)) per distinct m(x). Neither
+    oracle calls `glob`. The refinement oracle's guard counts the
+    product of the per-point choices, which passes 200,000 on a few
+    7-point draws, while its fold forms few distinct unions (13 ms at
+    most over 200 draws), so the guard is lifted here."""
     section, _, wide, _ = case
     forward, converse = lg.verify_connectivity_globalization(section.space,
                                                              wide)
@@ -240,7 +245,8 @@ def _forward(case):
     try:
         recomputed = glob_by_subgroupoid_defn(germs)
     except ResourceLimitError:
-        recomputed = lg.glob(germs)
+        recomputed = glob_by_refinements(germs, lg.canonical_atlas(germs),
+                                         math.inf)
     flag = forward.details["equals_globalisation"]
     assert flag == (recomputed == wide)
     assert converse.details == forward.details

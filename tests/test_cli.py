@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locglob as lg
+from locglob import cli
 from locglob.cli import main
 from locglob.instance_io import (load_instance, parse_instance,
                                  serialize_instance)
@@ -122,6 +124,53 @@ def test_verify_suite_small(capsys):
         "connectivity-globalization-forward",
         "connectivity-globalization-converse", "foliation-components",
         "restriction-global-coherence", "restriction-total-coherence"}
+
+
+# the documents `--format json` prints, built without rendering
+RENDERED_DOCS = {
+    **{f"{command} {name}": functools.partial(
+        build, load_instance(fixture_path(name)))
+       for name in VALID_FIXTURES
+       for command, build in (("analyze", cli.cmd_analyze),
+                              ("verify", cli.cmd_verify_instance))},
+    "verify --suite 3,6": functools.partial(cli.cmd_verify_suite, 3, 6),
+    "oracle-check --suite 3,6": functools.partial(
+        cli.cmd_oracle_check_suite, 3, 6, 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDERED_DOCS))
+def test_json_renderer_matches_json_dumps_on_cli_documents(name):
+    doc = RENDERED_DOCS[name]()
+    assert cli._render(doc, "json") == json.dumps(doc, indent=2,
+                                                  sort_keys=True)
+
+
+# text that needs escaping: quotes, backslashes, control characters,
+# non-ASCII and astral characters, and lone surrogates
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t'
+                                          "\u00e9\u2028\U0001f600\ud800"),
+                          st.characters(exclude_categories=())),
+                max_size=10)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: st.lists(inner) | st.dictionaries(_TEXT, inner),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_VALUES)
+def test_json_renderer_matches_json_dumps(value):
+    assert cli._render(value, "json") == json.dumps(value, indent=2,
+                                                    sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": 1.5}, {"a": (1, 2)}, {1: "a"}, {True: "a"}, {"a": ["b", 0.0]},
+    {"a": [{"b": ("c",)}]}], ids=repr)
+def test_json_renderer_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        cli._render(doc, "json")
 
 
 def test_oracle_check_instance(capsys):

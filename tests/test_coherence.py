@@ -1,15 +1,32 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import locglob as lg
 from locglob import cli
+from locglob.coherence import _set_list
 from locglob.errors import (InvariantViolationError, ResourceLimitError,
                             ValidationError)
+from locglob.spaces import sorted_labels, sorted_sets
 
 from conftest import fixture_path
 
 
 def _single_chart_section(space, wide):
     return lg.section_from_atlas(lg.Atlas(space, ((space.points, wide),)))
+
+
+# int and str labels with the same text, so that sets such as {1} and
+# {"1"} tie on the sort key and must keep the family's order
+_MIXED_LABELS = st.sampled_from([0, 1, 2, 10, "0", "1", "2", "10", "a"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(_MIXED_LABELS, max_size=4), max_size=10))
+@example([frozenset({1}), frozenset({"1"}), frozenset({1, "0"}),
+          frozenset({0, "1"})])
+def test_set_list_matches_sorting_the_family_then_each_set(sets):
+    assert _set_list(sets) == [sorted_labels(s) for s in sorted_sets(sets)]
 
 
 def test_coherence_report_nc(s_nc):

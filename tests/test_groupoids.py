@@ -21,8 +21,8 @@ REL3_Z3 = lg.rel_times_group(
     lg.cyclic_group(3))
 
 
-def _perturbed_pair(**overrides):
-    g = lg.pair_groupoid({"1", "2"})
+def _perturbed_pair(points=("1", "2"), **overrides):
+    g = lg.pair_groupoid(set(points))
     parts = {"objects": g.objects, "source": dict(g.source),
              "target": dict(g.target), "identity": dict(g.identity),
              "inverse": dict(g.inverse), "table": dict(g.table)}
@@ -71,26 +71,69 @@ def test_validate_missing_composable_entry():
         lg.validate_groupoid(_perturbed_pair(table=table))
 
 
+def test_validate_names_the_least_missing_composable_pair():
+    g = lg.pair_groupoid({"1", "2", "3"})
+    table = dict(g.table)
+    for pair in (("3:1", "1:2"), ("2:3", "3:2"), ("2:3", "3:1")):
+        del table[pair]
+    # arrows listed against the sorted order: the scan order is the sort's
+    source = dict(sorted(g.source.items(), reverse=True))
+    with pytest.raises(ValidationError) as exc:
+        lg.validate_groupoid(_perturbed_pair(("1", "2", "3"), source=source,
+                                             table=table))
+    assert str(exc.value) == (
+        "composition missing for composable pair ('2:3', '3:1')")
+
+
+# an order-four loop table with a*a redirected to the unit; the unit and
+# inverse laws survive the perturbation, associativity does not
+LOOP4_MUL = {
+    ("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b", ("e", "c"): "c",
+    ("a", "e"): "a", ("a", "a"): "e", ("a", "b"): "c", ("a", "c"): "e",
+    ("b", "e"): "b", ("b", "a"): "c", ("b", "b"): "e", ("b", "c"): "a",
+    ("c", "e"): "c", ("c", "a"): "e", ("c", "b"): "a", ("c", "c"): "b"}
+LOOP4_INVERSE = {"e": "e", "a": "c", "b": "b", "c": "a"}
+
+
 def test_validate_associativity_names_triple():
-    # order-four loop table over one object, with a*a redirected to the
-    # unit; unit and inverse laws survive the perturbation
     arrows = ["v#e", "v#a", "v#b", "v#c"]
-    mul = {("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b", ("e", "c"): "c",
-           ("a", "e"): "a", ("a", "a"): "e", ("a", "b"): "c", ("a", "c"): "e",
-           ("b", "e"): "b", ("b", "a"): "c", ("b", "b"): "e", ("b", "c"): "a",
-           ("c", "e"): "c", ("c", "a"): "e", ("c", "b"): "a", ("c", "c"): "b"}
-    inverse_of = {"e": "e", "a": "c", "b": "b", "c": "a"}
     g = lg.Groupoid(
         objects=frozenset({"v"}),
         source={a: "v" for a in arrows},
         target={a: "v" for a in arrows},
         identity={"v": "v#e"},
-        inverse={f"v#{k}": f"v#{v}" for k, v in inverse_of.items()},
+        inverse={f"v#{k}": f"v#{v}" for k, v in LOOP4_INVERSE.items()},
         table={(f"v#{k1}", f"v#{k2}"): f"v#{v}"
-               for (k1, k2), v in mul.items()})
+               for (k1, k2), v in LOOP4_MUL.items()})
     with pytest.raises(AssociativityError) as exc:
         lg.validate_groupoid(g)
     assert exc.value.triple == ("v#a", "v#a", "v#b")
+
+
+def test_validate_names_the_least_failing_triple_over_many_objects():
+    # the pair groupoid on u, v times the loop table: k:xy runs x -> y;
+    # arrows listed against the sorted order: the scan order is the sort's
+    objects = ("u", "v")
+    named = {f"{k}:{x}{y}": (k, x, y)
+             for k in "ecba" for x in "vu" for y in "vu"}
+    g = lg.Groupoid(
+        objects=frozenset(objects),
+        source={a: x for a, (_, x, _) in named.items()},
+        target={a: y for a, (_, _, y) in named.items()},
+        identity={x: f"e:{x}{x}" for x in objects},
+        inverse={a: f"{LOOP4_INVERSE[k]}:{y}{x}"
+                 for a, (k, x, y) in named.items()},
+        table={(a, b): f"{LOOP4_MUL[k, m]}:{x}{z}"
+               for a, (k, x, y) in named.items()
+               for b, (m, w, z) in named.items() if y == w})
+    arrows = sorted(named)
+    failing = [(a, b, c) for a, b, c in itertools.product(arrows, repeat=3)
+               if g.target[a] == g.source[b] and g.target[b] == g.source[c]
+               and g.table[g.table[a, b], c] != g.table[a, g.table[b, c]]]
+    assert len(failing) > 100
+    with pytest.raises(AssociativityError) as exc:
+        lg.validate_groupoid(g)
+    assert exc.value.triple == min(failing) == ("a:uu", "a:uu", "b:uu")
 
 
 def test_wide_subgroupoid_must_be_closed():
