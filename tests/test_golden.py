@@ -2,10 +2,11 @@
 
 Each case under fixtures/golden/cli holds the argument list, the exit
 code, and the exact stdout and stderr of one in-process `locglob` run:
-`analyze` and `verify` with --format json on every fixture (the
-invalid ones included), `verify --suite 3,6` and
-`oracle-check --suite 3,6`. A refactor must leave all of them as they
-are; a deliberate output change regenerates them with
+`analyze` and `verify` on every fixture (the invalid ones included),
+`verify --suite 3,6` and `oracle-check --suite 3,6`, each once with
+--format json and once with --format text (the default; its cases end
+in `__text`). A refactor must leave all of them as they are; a
+deliberate output change regenerates them with
 
     python tests/test_golden.py
 
@@ -27,15 +28,15 @@ GOLDEN = FIXTURES / "golden" / "cli"
 
 def _cases() -> dict:
     cases = {}
-    for path in sorted(FIXTURES.glob("*.json")):
-        for command in ("analyze", "verify"):
-            cases[f"{command}__{path.stem}"] = [
-                command, "--input", f"fixtures/{path.name}",
-                "--format", "json"]
-    cases["verify__suite_3_6"] = ["verify", "--suite", "3,6",
-                                  "--format", "json"]
-    cases["oracle-check__suite_3_6"] = ["oracle-check", "--suite", "3,6",
-                                        "--format", "json"]
+    for fmt, suffix in (("json", ""), ("text", "__text")):
+        for path in sorted(FIXTURES.glob("*.json")):
+            for command in ("analyze", "verify"):
+                cases[f"{command}__{path.stem}{suffix}"] = [
+                    command, "--input", f"fixtures/{path.name}",
+                    "--format", fmt]
+        for command in ("verify", "oracle-check"):
+            cases[f"{command}__suite_3_6{suffix}"] = [
+                command, "--suite", "3,6", "--format", fmt]
     return cases
 
 
