@@ -80,8 +80,8 @@ class AtlasConsistencyError(ValidationError):
 
 
 class ResourceLimitError(LocglobError):
-    """An enumeration guard tripped. Raise the bound explicitly to
-    proceed; nothing is ever skipped silently."""
+    """An exponential step passed its bound (see README, "Bounds");
+    nothing is ever skipped silently."""
 
     category = "resource-limit"
     exit_code = 3

@@ -25,6 +25,10 @@ from .spaces import (FiniteSpace, connected_components, enumerate_opens,
                      sorted_sets)
 
 DEFAULT_ARROW_BOUND = 16
+MAX_FOLD_UNIONS = 200_000  # unions the refinement fold forms
+MAX_SCAN_OPENS = 4096  # opens the total-coherence scan restricts to
+MAX_SPLIT_POINTS = 20  # points whose clopen splits are searched
+MAX_SUBSET_SCAN_POINTS = 12  # points whose subsets are scanned
 
 
 def _arrows_inside(g: Groupoid, region) -> frozenset:
@@ -147,8 +151,8 @@ def glob_by_subgroupoid_defn(section: LocalSubgroupoid,
     return intersect_wide(qualifying)
 
 
-def glob_by_refinements(section: LocalSubgroupoid, atlas: Atlas,
-                        max_refinements: int = 200_000) -> WideSubgroupoid:
+def glob_by_refinements(section: LocalSubgroupoid,
+                        atlas: Atlas) -> WideSubgroupoid:
     """Globalisation as the intersection of the subgroupoids generated by
     the refinements of a defining atlas.
 
@@ -164,56 +168,53 @@ def glob_by_refinements(section: LocalSubgroupoid, atlas: Atlas,
     pieces, so the families are folded point by point into their
     distinct partial unions, and each distinct union is closed once.
     The fold reaches exactly the unions of the product's families, so
-    the intersection is the same; it never forms more unions than the
-    product, which forms one per point for each family. The guard still
-    counts the product's families, before anything is enumerated.
+    the intersection is the same. The guard counts the unions the fold
+    forms, at each point the distinct unions so far times the choices
+    there, and refuses the step that would take it past MAX_FOLD_UNIONS.
     """
     if section_from_atlas(atlas) != section:
         raise ValidationError("atlas does not define the given section")
     g = section.parent
     space = section.space
     within = {v: _arrows_inside(g, v) for v in space.opens}
-    options = []
+    unions = {frozenset()}
+    formed = 0
     for x in sorted_labels(space.points):
-        pieces = set()
-        for open_set, sub in atlas.charts:
-            if x not in open_set:
-                continue
-            for v, inside in within.items():
-                if x in v and v <= open_set:
-                    pieces.add(sub.arrows & inside)  # the piece H_i|V
+        pieces = {sub.arrows & inside  # the piece H_i|V
+                  for open_set, sub in atlas.charts if x in open_set
+                  for v, inside in within.items() if x in v and v <= open_set}
         if not pieces:
             raise ValidationError(f"no chart covers point {x!r}")
-        options.append(pieces)
-    total = 1
-    for opts in options:
-        total *= len(opts)
-        if total > max_refinements:
+        formed += len(unions) * len(pieces)
+        if formed > MAX_FOLD_UNIONS:
             raise ResourceLimitError(
-                f"refinement enumeration needs more than "
-                f"{max_refinements} families")
-    unions = {frozenset()}
-    for opts in options:
-        unions = {u | piece for u in unions for piece in opts}
+                f"refinement fold needs more than {MAX_FOLD_UNIONS} unions")
+        unions = {u | piece for u in unions for piece in pieces}
     intersection = frozenset.intersection(
         *(_arrow_closure(g, space.points, seed) for seed in unions))
     return WideSubgroupoid(g, space.points, intersection)
 
 
-def totally_coherent_by_scan(section: LocalSubgroupoid,
-                             max_opens: int = 4096):
+def _first_failing(section: LocalSubgroupoid, regions, holds):
+    """(flag, first region whose restriction fails `holds`, or None)."""
+    for u in map(frozenset, regions):
+        if not holds(restrict_section(section, u)):
+            return False, u
+    return True, None
+
+
+def totally_coherent_by_scan(section: LocalSubgroupoid):
     """Total coherence straight from its definition: restrict the section
     to every open set, in `enumerate_opens` order, and test coherence;
     (flag, first failing open or None). Twin of
     `coherence.is_totally_coherent`, which answers by a lemma."""
     opens = enumerate_opens(section.space)
-    if len(opens) > max_opens:
+    if len(opens) > MAX_SCAN_OPENS:
         raise ResourceLimitError(
-            f"{len(opens)} open sets exceeds the configured cap of {max_opens}")
-    for u in opens:
-        if not coherence_report(restrict_section(section, u)).coherent:
-            return False, u
-    return True, None
+            f"{len(opens)} open sets exceeds the configured cap of "
+            f"{MAX_SCAN_OPENS}")
+    return _first_failing(section, opens,
+                          lambda r: coherence_report(r).coherent)
 
 
 def restriction_global_coherence_by_scan(section: LocalSubgroupoid):
@@ -222,11 +223,8 @@ def restriction_global_coherence_by_scan(section: LocalSubgroupoid):
     and compare it with its globalisation; (flag, first failing open or
     None). Twin of the restriction-global-coherence conclusion of
     `coherence.verify_restriction_coherence`, which answers by a lemma."""
-    for u in enumerate_opens(section.space):
-        if not coherence_report(
-                restrict_section(section, u)).globally_coherent:
-            return False, u
-    return True, None
+    return _first_failing(section, enumerate_opens(section.space),
+                          lambda r: coherence_report(r).globally_coherent)
 
 
 def cover_restrictions_by_scan(section: LocalSubgroupoid, cover):
@@ -236,12 +234,9 @@ def cover_restrictions_by_scan(section: LocalSubgroupoid, cover):
     first failing member or None). Twin of the restriction-total-coherence
     hypothesis of `coherence.verify_restriction_coherence`, which settles
     each member that is some m(x) by a lemma."""
-    for v in map(frozenset, cover):
-        restricted = restrict_section(section, v)
-        if not (coherence_report(restricted).globally_coherent
-                and totally_coherent_by_scan(restricted)[0]):
-            return False, v
-    return True, None
+    return _first_failing(
+        section, cover, lambda r: (coherence_report(r).globally_coherent
+                                   and totally_coherent_by_scan(r)[0]))
 
 
 def component_clopenness_by_scan(section: LocalSubgroupoid,
@@ -307,8 +302,7 @@ def relative_openness_by_traces(space: FiniteSpace, part, whole) -> tuple:
             any(o & m == m - a for o in space.opens))
 
 
-def connected_by_partition(space: FiniteSpace, subset,
-                           max_points: int = 20) -> bool:
+def connected_by_partition(space: FiniteSpace, subset) -> bool:
     """Connectivity by exhaustive search for a clopen split: a subset is
     disconnected exactly when it falls into two nonempty parts, both
     relatively open in it."""
@@ -316,9 +310,10 @@ def connected_by_partition(space: FiniteSpace, subset,
     if not sub <= space.points:
         raise ValidationError(
             f"unknown points: {sorted_labels(sub - space.points)}")
-    if len(sub) > max_points:
+    if len(sub) > MAX_SPLIT_POINTS:
         raise ResourceLimitError(
-            f"{len(sub)} points exceeds the split-search bound of {max_points}")
+            f"{len(sub)} points exceeds the split-search bound of "
+            f"{MAX_SPLIT_POINTS}")
     if len(sub) <= 1:
         return True
     members = sorted_labels(sub)
@@ -483,14 +478,14 @@ def cross_check_glob(section: LocalSubgroupoid, atlas: Atlas,
     return fast
 
 
-def cross_check_connectivity(space: FiniteSpace, max_points: int = 12) -> int:
+def cross_check_connectivity(space: FiniteSpace) -> int:
     """Compare graph connectivity with the partition-search oracle on
     every subset of the space; returns the number of subsets checked."""
     points = sorted_labels(space.points)
-    if len(points) > max_points:
+    if len(points) > MAX_SUBSET_SCAN_POINTS:
         raise ResourceLimitError(
             f"{len(points)} points exceeds the subset-scan bound of "
-            f"{max_points}")
+            f"{MAX_SUBSET_SCAN_POINTS}")
     checked = 0
     for k in range(len(points) + 1):
         for combo in itertools.combinations(points, k):

@@ -152,23 +152,28 @@ class FiniteSpace:
         return True
 
 
+def _cut_down(points: frozenset, minimal: dict, sets, refuse) -> FiniteSpace:
+    """m(x) = `minimal[x]` met with every set in `sets` that holds x; a
+    set with unknown labels raises ValidationError(refuse(set, labels))."""
+    for raw in sets:
+        s = frozenset(raw)
+        unknown = s - points
+        if unknown:
+            raise ValidationError(refuse(s, unknown))
+        for x in s:
+            minimal[x] &= s
+    return FiniteSpace._trusted(points, minimal)
+
+
 def space_from_basis(points, basis) -> FiniteSpace:
     """The topology generated by basis sets: the closure of the basis
     under union and intersection, with the empty and full sets. Its m(x)
     is the point set cut down by every basis set containing x, so only
     the labels are checked."""
     pts = frozenset(points)
-    minimal = dict.fromkeys(pts, pts)
-    for raw in basis:
-        s = frozenset(raw)
-        unknown = s - pts
-        if unknown:
-            raise ValidationError(
-                f"basis set {sorted_labels(s)} contains unknown label "
-                f"{sorted_labels(unknown)[0]!r}")
-        for x in s:
-            minimal[x] &= s
-    return FiniteSpace._trusted(pts, minimal)
+    return _cut_down(pts, dict.fromkeys(pts, pts), basis, lambda s, u: (
+        f"basis set {sorted_labels(s)} contains unknown label "
+        f"{sorted_labels(u)[0]!r}"))
 
 
 def enumerate_opens(space: FiniteSpace) -> list:
@@ -206,15 +211,8 @@ def generate_topology(space: FiniteSpace, extra_sets) -> FiniteSpace:
     """Smallest topology on the same points containing the current opens
     and every set in `extra_sets`: m(x) cut down by every extra set
     containing x. The result is finer than `space`."""
-    minimal = dict(space._minimal)
-    for raw in extra_sets:
-        s = frozenset(raw)
-        if not s <= space.points:
-            raise ValidationError(
-                f"unknown points: {sorted_labels(s - space.points)}")
-        for x in s:
-            minimal[x] &= s
-    return FiniteSpace._trusted(space.points, minimal)
+    return _cut_down(space.points, dict(space._minimal), extra_sets,
+                     lambda s, u: f"unknown points: {sorted_labels(u)}")
 
 
 def subspace(space: FiniteSpace, region) -> FiniteSpace:

@@ -155,6 +155,18 @@ def _total_coherence(section):
     return scanned[0]
 
 
+def _is_first_failure(section, regions, failing, holds) -> bool:
+    """`failing` is the first of `regions`, in order, on which the
+    section's restriction fails `holds`."""
+    regions = list(map(frozenset, regions))
+    return [v for v in regions[:regions.index(failing) + 1]
+            if not holds(lg.restrict_section(section, v))] == [failing]
+
+
+def _globally_coherent(section) -> bool:
+    return lg.coherence_report(section).globally_coherent
+
+
 def _restriction(section):
     """The restriction-global-coherence conclusion, answered by a lemma,
     against the open-by-open scan."""
@@ -165,9 +177,8 @@ def _restriction(section):
     assert first.counterexample is None
     assert (failing is None) == flag
     if not flag:
-        assert space.is_open(failing)
-        assert not lg.coherence_report(
-            lg.restrict_section(section, failing)).globally_coherent
+        assert _is_first_failure(section, lg.enumerate_opens(space), failing,
+                                 _globally_coherent)
     return flag
 
 
@@ -182,8 +193,11 @@ def _cover_scan(case):
     assert second.status == ("pass" if flag else "vacuous")
     assert (failing is None) == flag
     if not flag:
-        assert failing in map(frozenset, cover)
         assert failing not in _minimal_cover(section.space)
+        assert _is_first_failure(
+            section, cover, failing, lambda restricted: (
+                _globally_coherent(restricted)
+                and totally_coherent_by_scan(restricted)[0]))
     return flag
 
 
@@ -196,9 +210,8 @@ def _fold(case):
     """The refinement oracle's fold by distinct unions against its
     product loop, where that is short enough, and against `glob`."""
     section, atlas, _, _ = case
-    product = math.prod(map(len, refinement_options(atlas)))
-    folded = glob_by_refinements(section, atlas, max_refinements=product)
-    if product <= PRODUCT_TWIN_CAP:
+    folded = glob_by_refinements(section, atlas)
+    if math.prod(map(len, refinement_options(atlas))) <= PRODUCT_TWIN_CAP:
         assert folded == glob_by_refinement_product(section, atlas)
     assert folded == lg.glob(section)
     return True
@@ -234,10 +247,7 @@ def _forward(case):
     glob(loc(H)) == H from the definition oracle, or, where its arrow
     bound stops it, from the refinement oracle over the canonical atlas
     of loc(H), one chart (m(x), rep(x)) per distinct m(x). Neither
-    oracle calls `glob`. The refinement oracle's guard counts the
-    product of the per-point choices, which passes 200,000 on a few
-    7-point draws, while its fold forms few distinct unions (13 ms at
-    most over 200 draws), so the guard is lifted here."""
+    oracle calls `glob`."""
     section, _, wide, _ = case
     forward, converse = lg.verify_connectivity_globalization(section.space,
                                                              wide)
@@ -245,8 +255,7 @@ def _forward(case):
     try:
         recomputed = glob_by_subgroupoid_defn(germs)
     except ResourceLimitError:
-        recomputed = glob_by_refinements(germs, lg.canonical_atlas(germs),
-                                         math.inf)
+        recomputed = glob_by_refinements(germs, lg.canonical_atlas(germs))
     flag = forward.details["equals_globalisation"]
     assert flag == (recomputed == wide)
     assert converse.details == forward.details

@@ -330,6 +330,23 @@ def _readme_exit_codes() -> dict:
     return codes
 
 
+def test_readme_bounds_match_the_constants():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Bounds")[1]
+    documented = {}
+    for row in section.split("\n## ")[0].splitlines():
+        cells = row.split("|")
+        if len(cells) > 5:
+            for name in re.findall(r"`((?:spaces|oracle)\.[A-Z_]+)`",
+                                   cells[4]):
+                bound = re.match(r"[\d,]+", cells[3].strip())
+                documented[name] = int(bound.group().replace(",", ""))
+    assert len(documented) == 6
+    for name, bound in documented.items():
+        module, constant = name.split(".")
+        assert getattr(getattr(lg, module), constant) == bound, name
+
+
 ERROR_CLASSES = [
     (lg.LocglobError, "invariant", 4),
     (lg.UsageError, "usage", 1),
@@ -358,6 +375,130 @@ def test_every_error_class_is_pinned():
                if isinstance(cls, type) and issubclass(cls, lg.LocglobError)}
     assert classes == {cls for cls, _, _ in ERROR_CLASSES}
     assert set(_readme_exit_codes()) == {c for _, c, _ in ERROR_CLASSES}
+
+
+_Z2_MUL = [["0", "0", "0"], ["0", "1", "1"], ["1", "0", "1"],
+           ["1", "1", "0"]]
+
+
+def _explicit_doc(arrows, compose, points=("p",), identity_of=None,
+                  inverse_of=None):
+    """An explicit groupoid document; by default each arrow is its own
+    inverse and the identity of point p is the arrow 1p."""
+    return {"space": {"points": list(points), "basis": []},
+            "groupoid": {
+                "kind": "explicit",
+                "arrows": [{"id": a, "src": s, "tgt": t}
+                           for a, s, t in arrows],
+                "identity_of": identity_of or {p: f"1{p}" for p in points},
+                "inverse_of": inverse_of or {a: a for a, _, _ in arrows},
+                "compose": compose}}
+
+
+# one input per input check that no other test reaches: (document or
+# None, argv, exit code, the one stderr line); a document is written to
+# a file and passed with --input
+REJECTIONS = {
+    "suite-not-an-integer": (
+        None, ["verify", "--suite", "a,6"], 1,
+        "error[usage]: argument --suite: expected points >= 1, got 'a'"),
+    "max-arrows-not-an-integer": (
+        None, ["oracle-check", "--suite", "3,6", "--max-arrows", "x"], 1,
+        "error[usage]: argument --max-arrows: expected N >= 0, got 'x'"),
+    "subgroupoid-on-part-of-the-space": (
+        {"space": {"points": ["a", "b"], "basis": []},
+         "groupoid": {"kind": "pair"},
+         "subgroupoid": {"base": ["a"], "arrows": []}}, ["analyze"], 2,
+        "error[validation]: subgroupoid must be based on the whole space"),
+    "repeated-mul-pair": (
+        {"space": {"points": ["p"], "basis": []},
+         "groupoid": {"kind": "bundle", "fibers": {"p": {
+             "elements": ["0", "1"], "unit": "0",
+             "mul": _Z2_MUL + [["1", "1", "0"]]}}}}, ["analyze"], 1,
+        "error[parse]: groupoid.fibers['p'].mul repeats the pair "
+        "('1', '1')"),
+    "repeated-compose-pair": (
+        _explicit_doc([("1p", "p", "p")],
+                      [["1p", "1p", "1p"], ["1p", "1p", "1p"]]),
+        ["analyze"], 1,
+        "error[parse]: groupoid.compose repeats the pair ('1p', '1p')"),
+    "repeated-arrow-id": (
+        _explicit_doc([("1p", "p", "p"), ("1p", "p", "p")],
+                      [["1p", "1p", "1p"]]), ["analyze"], 1,
+        "error[parse]: groupoid.arrows repeats the id '1p'"),
+    "identity-of-not-a-string": (
+        _explicit_doc([("1p", "p", "p")], [["1p", "1p", "1p"]],
+                      identity_of={"p": 1}), ["analyze"], 1,
+        "error[parse]: groupoid.identity_of must map strings to strings"),
+    "inverse-of-not-a-string": (
+        _explicit_doc([("1p", "p", "p")], [["1p", "1p", "1p"]],
+                      inverse_of={"1p": ["1p"]}), ["analyze"], 1,
+        "error[parse]: groupoid.inverse_of must map strings to strings"),
+    "atlas-not-a-list": (
+        {"space": {"points": ["a"], "basis": []},
+         "groupoid": {"kind": "pair"},
+         "atlas": {"open": ["a"], "arrows": []}}, ["analyze"], 1,
+        "error[parse]: atlas must be a list of charts"),
+    "compose-on-a-non-composable-pair": (
+        _explicit_doc([("1p", "p", "p"), ("1q", "q", "q")],
+                      [["1p", "1p", "1p"], ["1q", "1q", "1q"],
+                       ["1p", "1q", "1q"]], points=("p", "q")),
+        ["analyze"], 2,
+        "error[endpoint-mismatch]: composition defined on non-composable "
+        "pair ('1p', '1q')"),
+    "identity-law": (
+        _explicit_doc([("1p", "p", "p"), ("a", "p", "p")],
+                      [["1p", "1p", "1p"], ["1p", "a", "1p"],
+                       ["a", "1p", "a"], ["a", "a", "1p"]]),
+        ["analyze"], 2, "error[validation]: identity law fails at arrow 'a'"),
+    "group-element-without-inverse": (
+        {"space": {"points": ["p"], "basis": []},
+         "groupoid": {"kind": "bundle", "fibers": {"p": {
+             "elements": ["e", "z"], "unit": "e",
+             "mul": [["e", "e", "e"], ["e", "z", "z"], ["z", "e", "z"],
+                     ["z", "z", "z"]]}}}}, ["analyze"], 2,
+        "error[validation]: element 'z' has no inverse"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTIONS))
+def test_input_check_rejects_with_one_line(tmp_path, capsys, name):
+    doc, argv, exit_code, line = REJECTIONS[name]
+    if doc is not None:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = argv + ["--input", str(path)]
+    assert main(argv) == exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+
+
+# each oracle-check comparison, made to disagree by patching one oracle
+DISAGREEMENTS = {
+    "glob": ("glob_by_refinements",
+             lambda section, atlas: lg.full_wide(section.parent,
+                                                 section.space.points),
+             "error[invariant]: globalisation mismatch: fast ['1:1', '2:2'], "
+             "by definition ['1:1', '2:2'], by refinements "
+             "['1:1', '1:2', '2:1', '2:2']"),
+    "connectivity": ("connected_by_partition", lambda space, subset: False,
+                     "error[invariant]: connectivity mismatch on subset []"),
+    "enumeration": ("_enumerate_by_subset_filter", lambda g, base: [],
+                    "error[invariant]: wide subgroupoid enumeration "
+                    "disagrees with the subset filter"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISAGREEMENTS))
+def test_oracle_check_exits_4_on_a_disagreement(monkeypatch, capsys, name):
+    attribute, patched, line = DISAGREEMENTS[name]
+    monkeypatch.setattr(lg.oracle, attribute, patched)
+    assert main(["oracle-check", "--input",
+                 fixture_path("disc2_pair_full.json")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
 
 
 def test_module_entry_point():

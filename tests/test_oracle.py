@@ -158,23 +158,41 @@ def test_glob_by_refinements_discrete_full(sp_disc2):
     assert lg.glob(section).arrows == g.identity_ids
 
 
-def test_glob_by_refinements_folds_a_million_families():
-    # discrete space on five points, one full pair-groupoid chart: each
-    # point picks one of 16 opens, so 16^5 families past the default
-    # guard; they reach 1,014 distinct unions, and only the union of the
-    # singleton pieces closes to the identities
-    points = {str(i) for i in range(1, 6)}
+def _unions_formed(atlas) -> int:
+    """The unions the refinement fold forms: at each point, the distinct
+    unions so far times the choices there."""
+    unions, formed = {frozenset()}, 0
+    for options in refinement_options(atlas):
+        formed += len(unions) * len(options)
+        unions = {u | piece for u in unions for piece in options}
+    return formed
+
+
+def _discrete_full_chart(n):
+    """A discrete space on n points with one full pair-groupoid chart."""
+    points = {str(i) for i in range(1, n + 1)}
     space = lg.space_from_basis(points, [{p} for p in points])
     g = lg.pair_groupoid(points)
     atlas = lg.Atlas(space, ((space.points, lg.full_wide(g, g.objects)),))
-    section = lg.section_from_atlas(atlas)
-    with pytest.raises(ResourceLimitError, match="more than 200000"):
+    return lg.section_from_atlas(atlas), atlas
+
+
+def test_glob_by_refinements_folds_a_million_families():
+    # five points: each picks one of 16 opens, so 16^5 families, but the
+    # fold forms 26,656 unions, within the default guard, and only the
+    # union of the singleton pieces closes to the identities
+    section, atlas = _discrete_full_chart(5)
+    assert _unions_formed(atlas) == 26_656
+    folded = glob_by_refinements(section, atlas)
+    assert folded.arrows == section.parent.identity_ids
+    # six points: the fold would form 1,648,736 unions, and is refused
+    section, atlas = _discrete_full_chart(6)
+    with pytest.raises(ResourceLimitError,
+                       match="refinement fold needs more than 200000 unions"):
         glob_by_refinements(section, atlas)
-    folded = glob_by_refinements(section, atlas, max_refinements=16 ** 5)
-    assert folded.arrows == g.identity_ids
 
 
-def test_glob_by_refinements_validation(sp_ind2):
+def test_glob_by_refinements_validation(monkeypatch, sp_ind2):
     # on the indiscrete space the full and identities-only charts give
     # different germs, so the atlases define different sections
     g = lg.pair_groupoid({"1", "2"})
@@ -185,8 +203,9 @@ def test_glob_by_refinements_validation(sp_ind2):
                                 lg.identities_only(g, g.objects)),))
     with pytest.raises(ValidationError, match="does not define"):
         glob_by_refinements(section, other)
+    monkeypatch.setattr(oracle, "MAX_FOLD_UNIONS", 0)
     with pytest.raises(ResourceLimitError):
-        glob_by_refinements(section, atlas, max_refinements=0)
+        glob_by_refinements(section, atlas)
 
 
 def test_glob_by_refinements_compares_sections_by_value(sp_ind2):
@@ -204,16 +223,17 @@ def test_glob_by_refinements_compares_sections_by_value(sp_ind2):
         glob_by_refinements(smaller, atlas)
 
 
-def test_glob_by_refinements_guard_counts_the_product(s_nc, a_nc):
-    # the guard counts the product's families, not the distinct unions
-    # the fold visits: one family fewer than the product is refused
-    product = math.prod(map(len, refinement_options(a_nc)))
-    assert product == 125
-    with pytest.raises(ResourceLimitError,
-                       match=f"more than {product - 1} families"):
-        glob_by_refinements(s_nc, a_nc, max_refinements=product - 1)
-    assert (glob_by_refinements(s_nc, a_nc, max_refinements=product)
-            == lg.glob(s_nc))
+def test_glob_by_refinements_guard_counts_the_unions_formed(monkeypatch,
+                                                           s_nc, a_nc):
+    # the guard counts the unions the fold forms, 130 here, not the
+    # product's 125 families: a bound of 129 is refused, 130 passes
+    assert math.prod(map(len, refinement_options(a_nc))) == 125
+    assert _unions_formed(a_nc) == 130
+    monkeypatch.setattr(oracle, "MAX_FOLD_UNIONS", 129)
+    with pytest.raises(ResourceLimitError, match="more than 129 unions"):
+        glob_by_refinements(s_nc, a_nc)
+    monkeypatch.setattr(oracle, "MAX_FOLD_UNIONS", 130)
+    assert glob_by_refinements(s_nc, a_nc) == lg.glob(s_nc)
 
 
 def test_definition_oracle_germs_are_the_arrow_sets_of_germ(suite36):
@@ -252,17 +272,21 @@ def test_cross_check_glob_nc(s_nc, a_nc):
     assert confirmed == lg.glob(s_nc)
 
 
-def test_connected_by_partition_guard(sp_nc):
-    with pytest.raises(ResourceLimitError):
-        lg.connected_by_partition(sp_nc, sp_nc.points, max_points=3)
+def test_connected_by_partition_guard(monkeypatch, sp_nc):
+    monkeypatch.setattr(oracle, "MAX_SPLIT_POINTS", 3)
+    with pytest.raises(ResourceLimitError,
+                       match="6 points exceeds the split-search bound of 3"):
+        lg.connected_by_partition(sp_nc, sp_nc.points)
     with pytest.raises(ValidationError):
         lg.connected_by_partition(sp_nc, {"nope"})
 
 
-def test_cross_check_connectivity(sp_nc):
+def test_cross_check_connectivity(monkeypatch, sp_nc):
     assert lg.cross_check_connectivity(sp_nc) == 64
-    with pytest.raises(ResourceLimitError):
-        lg.cross_check_connectivity(sp_nc, max_points=3)
+    monkeypatch.setattr(oracle, "MAX_SUBSET_SCAN_POINTS", 3)
+    with pytest.raises(ResourceLimitError,
+                       match="6 points exceeds the subset-scan bound of 3"):
+        lg.cross_check_connectivity(sp_nc)
 
 
 def test_instance_suite_shape():
@@ -528,9 +552,11 @@ def test_clopenness_scan_finds_a_failure_when_the_cover_is_not_open():
                            "relatively_closed": True}
 
 
-def test_total_coherence_scan_guard(s_nc):
-    with pytest.raises(ResourceLimitError, match="cap of 4"):
-        totally_coherent_by_scan(s_nc, max_opens=4)
+def test_total_coherence_scan_guard(monkeypatch, s_nc):
+    monkeypatch.setattr(oracle, "MAX_SCAN_OPENS", 4)
+    with pytest.raises(ResourceLimitError,
+                       match="18 open sets exceeds the configured cap of 4"):
+        totally_coherent_by_scan(s_nc)
 
 
 def test_space_operations_match_explicit_families():
