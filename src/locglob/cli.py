@@ -27,8 +27,8 @@ from .coherence import (_set_list, coherence_report, foliation_space,
 from .errors import LocglobError, UsageError, ValidationError
 from .groupoids import transitivity_components
 from .instance_io import ParsedInstance, load_instance
-from .oracle import (cross_check_connectivity, cross_check_enumeration,
-                     cross_check_glob, instance_suite)
+from .oracle import (DEFAULT_ARROW_BOUND, cross_check_connectivity,
+                     cross_check_enumeration, cross_check_glob, instance_suite)
 from .sections import Atlas, glob, loc, section_from_atlas
 from .spaces import (_minimal_cover, connected_components, label_key,
                      sorted_labels)
@@ -86,7 +86,8 @@ def _build_parser() -> _Parser:
     command("verify", "run the structural checkers", with_suite=True)
     oracle = command("oracle-check", "brute-force cross checks",
                      with_suite=True)
-    oracle.add_argument("--max-arrows", default=16, metavar="N",
+    oracle.add_argument("--max-arrows", default=DEFAULT_ARROW_BOUND,
+                        metavar="N",
                         type=functools.partial(_at_least, "N", 0),
                         help="non-identity arrow cap for enumeration oracles")
     return parser

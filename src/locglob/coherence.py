@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from .errors import InvariantViolationError, ResourceLimitError, ValidationError
 from .groupoids import (WideSubgroupoid, _generated_components,
                         restrict_wide, transitivity_components)
-from .sections import (Atlas, LocalSubgroupoid, glob, loc, restrict_section,
-                       section_from_atlas)
+from .sections import (Atlas, Germ, LocalSubgroupoid, _loc_arguments, glob,
+                       loc, restrict_section, section_from_atlas)
 from .spaces import (FiniteSpace, connected_components, enumerate_opens,
                      generate_topology, label_key, sorted_labels)
 
@@ -73,16 +73,16 @@ class TheoremReport:
 
 def coherence_report(section: LocalSubgroupoid) -> CoherenceReport:
     # both germs live over m(x), where `germ_leq` is arrow-set inclusion
-    globalised = loc(section.space, glob(section))
+    globalised = glob(section)
     coherent = True
     witnesses = []
     for x in sorted_labels(section.space.points):
         mine = section.germs[x]
-        theirs = globalised.germs[x]
-        if not mine.rep.arrows <= theirs.rep.arrows:
-            coherent = False
-        if mine != theirs:
-            witnesses.append((x, mine, theirs))
+        m = mine.rep.base
+        theirs = globalised.arrows & section.parent.arrows_within(m)
+        coherent &= mine.rep.arrows <= theirs
+        if mine.rep.arrows != theirs:
+            witnesses.append((x, mine, Germ(x, restrict_wide(globalised, m))))
     return CoherenceReport(coherent, not witnesses, tuple(witnesses))
 
 
@@ -168,15 +168,18 @@ def verify_component_clopenness(section: LocalSubgroupoid,
     without closing them: <S> and S link the same objects, as an
     identity, inverse or composite of arrows joins objects that its
     factors already link."""
-    space = section.space
-    if loc(space, wide) != section:
+    space, parent = section.space, wide.parent
+    _loc_arguments(space, wide)
+    if parent != section.parent or any(  # loc(wide), as arrow sets
+            g.rep.arrows != wide.arrows & parent.arrows_within(g.rep.base)
+            for g in section.germs.values()):
         raise ValidationError(
             "section must be the germ section of the wide subgroupoid")
     cover_sets = _open_cover(space, cover)
     seed = set()
     for v in cover_sets:
-        seed |= restrict_wide(wide, v).arrows
-    components = _generated_components(wide.parent, space.points, seed)
+        seed |= wide.arrows & parent.arrows_within(v)
+    components = _generated_components(parent, space.points, seed)
     return TheoremReport(
         "component-clopenness", True, True, None,
         {"cover": _set_list(cover_sets),
@@ -207,7 +210,8 @@ def verify_local_connectivity_coherence(space: FiniteSpace,
     failed = []
     for x in sorted_labels(space.points):
         for w in neighbourhoods(space.minimal_open(x), x):
-            comps = transitivity_components(restrict_wide(wide, w))
+            comps = _generated_components(
+                wide.parent, w, wide.arrows & wide.parent.arrows_within(w))
             if all(len(connected_components(space, c)) == 1 for c in comps):
                 witnesses[x] = w
                 break

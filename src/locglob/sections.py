@@ -40,12 +40,6 @@ def germ_at(space: FiniteSpace, chart: WideSubgroupoid, x) -> Germ:
         raise ValidationError("chart domain is not an open set")
     if x not in chart.base:
         raise ValidationError(f"point {x!r} is not in the chart domain")
-    return _germ(space, chart, x)
-
-
-def _germ(space: FiniteSpace, chart: WideSubgroupoid, x) -> Germ:
-    """`germ_at` for a chart whose domain is known to be open and to
-    contain x."""
     return Germ(x, restrict_wide(chart, space.minimal_open(x)))
 
 
@@ -101,13 +95,15 @@ class Atlas:
             missing = sorted_labels(self.space.points - covered)
             raise AtlasCoverError(
                 f"charts do not cover the space; missing points: {missing}")
-        # report the earliest witness in (point, chart pair) order
+        # the earliest witness in (point, chart pair) order, as arrow sets
         germs = {}
         for x in sorted_labels(self.space.points):
+            m = self.space.minimal_open(x)
+            within = parent.arrows_within(m)
             hits = [i for i, (o, _) in enumerate(charts) if x in o]
-            first = germs[x] = _germ(self.space, charts[hits[0]][1], x)
+            first = germs[x] = Germ(x, restrict_wide(charts[hits[0]][1], m))
             for j in hits[1:]:
-                if _germ(self.space, charts[j][1], x) != first:
+                if charts[j][1].arrows & within != first.rep.arrows:
                     raise AtlasConsistencyError(
                         f"charts {hits[0]} and {j} induce different germs "
                         f"at point {x!r}",
@@ -137,11 +133,11 @@ class LocalSubgroupoid:
         if self.parent.objects != self.space.points:
             raise ValidationError(
                 "ambient groupoid must live on the space's points")
-        for x, germ in self.germs.items():
-            if germ.at != x:
+        for x in sorted_labels(self.germs):
+            at, rep = self.germs[x].at, self.germs[x].rep
+            if at != x:
                 raise ValidationError(
-                    f"germ stored at {x!r} claims to live at {germ.at!r}")
-            rep = germ.rep
+                    f"germ stored at {x!r} claims to live at {at!r}")
             if not (rep.parent is self.parent or rep.parent == self.parent):
                 raise ValidationError(
                     f"germ at {x!r} lives in a different ambient groupoid")
@@ -149,13 +145,12 @@ class LocalSubgroupoid:
                 raise ValidationError(
                     f"germ at {x!r} must be represented on the minimal "
                     f"open neighbourhood")
-        for x in self.space.points:
-            rx = self.germs[x].rep
-            for y in self.space.minimal_open(x):
-                if y == x:
-                    continue
-                expected = restrict_wide(rx, self.space.minimal_open(y))
-                if self.germs[y].rep != expected:
+        # the least failing (x, y); rep(x)|m(y) is rep(x)'s arrows in m(y)
+        for x in sorted_labels(self.space.points):
+            rx = self.germs[x].rep.arrows
+            for y in sorted_labels(self.space.minimal_open(x) - {x}):
+                within = self.parent.arrows_within(self.space.minimal_open(y))
+                if self.germs[y].rep.arrows != rx & within:
                     raise ValidationError(
                         f"gluing law fails from {x!r} to {y!r}")
 
@@ -199,18 +194,23 @@ def section_from_atlas(atlas: Atlas) -> LocalSubgroupoid:
     return atlas._section
 
 
-def loc(space: FiniteSpace, wide: WideSubgroupoid) -> LocalSubgroupoid:
-    """The section of germs of one wide subgroupoid over the whole space.
-
-    The gluing law holds without a check: for y in m(x), m(y) lies in
-    m(x), so (H|m(x))|m(y) = H|m(y)."""
+def _loc_arguments(space: FiniteSpace, wide: WideSubgroupoid) -> None:
     if wide.base != space.points:
         raise ValidationError(
             "loc needs a wide subgroupoid over the whole space")
     if wide.parent.objects != space.points:
         raise ValidationError(
             "ambient groupoid must live on the space's points")
-    germs = {x: _germ(space, wide, x) for x in space.points}
+
+
+def loc(space: FiniteSpace, wide: WideSubgroupoid) -> LocalSubgroupoid:
+    """The section of germs of one wide subgroupoid over the whole space.
+
+    The gluing law holds without a check: for y in m(x), m(y) lies in
+    m(x), so (H|m(x))|m(y) = H|m(y)."""
+    _loc_arguments(space, wide)
+    germs = {x: Germ(x, restrict_wide(wide, space.minimal_open(x)))
+             for x in space.points}
     return LocalSubgroupoid._trusted(space, wide.parent, germs)
 
 
@@ -273,8 +273,8 @@ def refines(finer: Atlas, coarser: Atlas) -> bool:
         raise ValidationError(
             "atlases over different spaces or groupoids are incomparable")
     for open_set, sub in finer.charts:
-        if not any(open_set <= big
-                   and restrict_wide(big_sub, open_set) == sub
+        within = sub.parent.arrows_within(open_set)
+        if not any(open_set <= big and big_sub.arrows & within == sub.arrows
                    for big, big_sub in coarser.charts):
             return False
     return True

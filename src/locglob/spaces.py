@@ -74,10 +74,10 @@ class FiniteSpace:
     def __init__(self, points, opens):
         points = frozenset(points)
         family = frozenset(frozenset(o) for o in opens)
-        for o in family:
-            if not o <= points:
-                bad = sorted_labels(o - points)
-                raise ValidationError(f"open set contains unknown labels: {bad}")
+        outside = [o for o in family if not o <= points]
+        if outside:  # name the least such open, as `sorted_sets` orders them
+            bad = sorted_labels(min(outside, key=set_key) - points)
+            raise ValidationError(f"open set contains unknown labels: {bad}")
         if frozenset() not in family or points not in family:
             raise ValidationError(
                 "opens must contain the empty set and the full point set")

@@ -104,6 +104,21 @@ def test_component_clopenness(sp_nc, nc_pair, s_nc):
     assert report.details["components_checked"] == 4
     with pytest.raises(ValidationError, match="germ section"):
         lg.verify_component_clopenness(s_nc, wide, cover)
+    # the precondition reads germs as arrow sets, and still tells apart
+    # equal arrow ids in another groupoid; `loc`'s own checks run first
+    points = sp_nc.points
+    ids = lg.identities_only(nc_pair, points)
+    other = lg.identities_only(lg.identity_groupoid(points), points)
+    assert other.arrows == ids.arrows
+    with pytest.raises(ValidationError, match="germ section"):
+        lg.verify_component_clopenness(lg.loc(sp_nc, ids), other, cover)
+    for bad, message in (
+            (lg.identities_only(nc_pair, points - {"x"}),
+             "loc needs a wide subgroupoid over the whole space"),
+            (lg.identities_only(lg.pair_groupoid(points | {"w"}), points),
+             "ambient groupoid must live on the space's points")):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            lg.verify_component_clopenness(section, bad, cover)
     with pytest.raises(ValidationError, match="cover"):
         lg.verify_component_clopenness(section, wide, [sp_nc.points - {"x"}])
 

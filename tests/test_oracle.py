@@ -18,7 +18,6 @@ from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
                             relative_openness_by_traces,
                             restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
-from locglob.sections import _germ
 from locglob.spaces import label_key, sorted_labels
 
 from conftest import (PAIRS, cases, pair_id, refinement_options, subsets,
@@ -238,14 +237,14 @@ def test_glob_by_refinements_guard_counts_the_unions_formed(monkeypatch,
 
 def test_definition_oracle_germs_are_the_arrow_sets_of_germ(suite36):
     # the definition oracle reads H's germ at x as the arrows of H
-    # inside m(x); `_germ` restricts H to m(x)
+    # inside m(x); `germ_at` restricts H to m(x)
     checked = 0
     for inst in suite36.instances:
         space, g = inst.space, inst.groupoid
         for h in lg.enumerate_wide_subgroupoids(g, space.points):
             for x in space.points:
                 within = g.arrows_within(space.minimal_open(x))
-                assert h.arrows & within == _germ(space, h, x).rep.arrows
+                assert h.arrows & within == lg.germ_at(space, h, x).rep.arrows
                 checked += 1
     assert checked > 1000
 
@@ -257,8 +256,8 @@ def test_glob_oracles_call_neither_glob_nor_germ(monkeypatch, s_nc, a_nc):
     expected = lg.glob(s_nc)
     for module in (oracle, lg.sections):
         monkeypatch.setattr(module, "glob", refuse)
-        # `oracle` no longer imports `_germ`; refuse it there all the same
-        monkeypatch.setattr(module, "_germ", refuse, raising=False)
+        # `oracle` does not import `germ_at`; refuse it there all the same
+        monkeypatch.setattr(module, "germ_at", refuse, raising=False)
     # both oracles read germs and pieces as arrow sets, from their own
     # scan: neither restricts nor reads the regions the groupoid keeps
     monkeypatch.setattr(oracle, "restrict_wide", refuse, raising=False)
@@ -465,10 +464,10 @@ def test_verify_suite_restricts_no_minimal_cover_member(monkeypatch, capsys):
     # restricts nothing; `coherence_report` runs once per section, in
     # the restriction checker. `glob` runs twice per section (the oracle
     # cross-check and `coherence_report`; the foliation checker reads the
-    # components off the germs) and `loc` three times (`cli`, the
-    # clopenness checker and `coherence_report`); each runs once more for
-    # each of the 3 sections whose globalisation has a component that is
-    # not connected
+    # components off the germs) and `loc` once (`cli`: the clopenness
+    # checker and `coherence_report` read germs as arrow sets); each runs
+    # once more for each of the 3 sections whose globalisation has a
+    # component that is not connected
     calls = {"restrict_section": 0, "full_restriction": 0,
              "coherence_report": 0, "glob": 0, "loc": 0}
 
@@ -493,7 +492,7 @@ def test_verify_suite_restricts_no_minimal_cover_member(monkeypatch, capsys):
     capsys.readouterr()
     assert calls == {"restrict_section": 0, "full_restriction": 0,
                      "coherence_report": 369,
-                     "glob": 2 * 369 + 3, "loc": 3 * 369 + 3}
+                     "glob": 2 * 369 + 3, "loc": 369 + 3}
 
 
 def test_verify_suite_scans_each_region_once(monkeypatch, capsys):

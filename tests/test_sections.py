@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import locglob as lg
@@ -170,3 +174,36 @@ def test_canonical_atlas_dedupes():
     atlas = lg.canonical_atlas(section)
     # both points share one minimal neighbourhood, so one chart remains
     assert len(atlas.charts) == 1
+
+
+# each script builds a value that fails one validator at several
+# witnesses; the one named must be the least in sorted order, whatever
+# the set order
+MANY_WITNESSES = {
+    # m(a) holds b and m(c) holds d; the germs at b and d drop the loop
+    # that rep(a) and rep(c) hold there
+    "gluing": ("""
+space = lg.space_from_basis("abcd", [{"a", "b"}, {"b"}, {"c", "d"}, {"d"}])
+g = lg.group_bundle("abcd", dict.fromkeys("abcd", lg.cyclic_group(2)))
+full = lg.full_wide(g, space.points)
+germs = {x: lg.germ_at(space, full, x) for x in "ac"}
+germs.update({x: lg.Germ(x, lg.identities_only(g, {x})) for x in "bd"})
+lg.LocalSubgroupoid(space, g, germs)
+""", "gluing law fails from 'a' to 'b'"),
+    "unknown-open-label": ("""
+lg.FiniteSpace({"a"}, [set(), {"a"}, {"a", "x"}, {"a", "y"}, {"a", "z"}])
+""", "open set contains unknown labels: ['x']"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANY_WITNESSES))
+def test_validators_name_the_least_witness_under_every_hash_seed(name):
+    body, message = MANY_WITNESSES[name]
+    for seed in ("0", "1", "2", "3", "5"):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import locglob as lg\n" + body],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 1, (seed, proc.stderr)
+        assert proc.stderr.splitlines()[-1] == (
+            f"locglob.errors.ValidationError: {message}"), seed

@@ -12,7 +12,10 @@ Z/2 or an equivalence relation times Z/3. Every trusted output must pass
 its public constructor unchanged, and the total-coherence and
 restriction rows run on its sections. Sections of `loc(H)` are always
 globally coherent, so every row also runs on sections of random
-multi-chart atlases, which reach sections that are not. On preorders of
+multi-chart atlases, which reach sections that are not. With one chart
+or one germ of such an atlas redrawn, `Atlas` and `LocalSubgroupoid`
+must accept, or reject with the same error, exactly as twins that
+compare `Germ`s from `germ_at`. On preorders of
 5 to 8 points the minimal-neighbourhood operations of `spaces` must
 agree with their explicit-family definitions in `oracle`, and on
 bundles of order-two groups over 5 to 7 points the wide subgroupoids
@@ -268,6 +271,77 @@ def test_foliation_criterion_and_theorem_on_atlas_sections(atlas):
     items = _items(atlas)
     walk("foliation-criterion", items)
     walk("connected-charts-pass", items)
+
+
+@st.composite
+def perturbed(draw):
+    """An `atlases` draw with one chart or one germ redrawn over the same
+    set, from one or two seed arrows inside m(x) for a point x it holds,
+    preferably one that two charts hold and whose m(x) has such arrows:
+    ("atlas", space, charts) or ("section", space, parent, germs)."""
+    atlas = draw(atlases())
+    space, g, charts = atlas.space, atlas.parent, list(atlas.charts)
+    free = {x: sorted(g.arrows_within(space.minimal_open(x)) - g.identity_ids)
+            for x in sorted(space.points)}
+    holders = {x: [i for i, (o, _) in enumerate(charts) if x in o]
+               for x in free}
+    shared = [x for x in free if free[x] and len(holders[x]) > 1]
+    x = draw(st.sampled_from(shared or sorted(free)))
+
+    def redrawn(region):
+        seed = (draw(st.sets(st.sampled_from(free[x]), min_size=1,
+                             max_size=2)) if free[x] else ())
+        return lg.generate_wide(g, region, seed)
+
+    if draw(st.booleans()):
+        i = draw(st.sampled_from(holders[x]))
+        charts[i] = (charts[i][0], redrawn(charts[i][0]))
+        return "atlas", space, charts
+    germs = dict(lg.section_from_atlas(atlas).germs)
+    germs[x] = lg.Germ(x, redrawn(space.minimal_open(x)))
+    return "section", space, g, germs
+
+
+def _atlas_twin(space, charts):
+    """(error class, message) of the first point, in sorted order, where
+    two charts' germs differ as `Germ`s, or None."""
+    for x in sorted(space.points):
+        hits = [i for i, (o, _) in enumerate(charts) if x in o]
+        first = lg.germ_at(space, charts[hits[0]][1], x)
+        for j in hits[1:]:
+            if lg.germ_at(space, charts[j][1], x) != first:
+                return (lg.AtlasConsistencyError,
+                        f"charts {hits[0]} and {j} induce different germs "
+                        f"at point {x!r}")
+    return None
+
+
+def _gluing_twin(space, parent, germs):
+    """(error class, message) of the first pair y in m(x), in sorted
+    order, where rep(x)'s germ at y is not the germ stored at y."""
+    for x in sorted(space.points):
+        for y in sorted(space.minimal_open(x) - {x}):
+            if lg.germ_at(space, germs[x].rep, y) != germs[y]:
+                return (lg.ValidationError,
+                        f"gluing law fails from {x!r} to {y!r}")
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(perturbed())
+def test_atlas_and_gluing_checks_match_their_germ_twins(case):
+    # the validators compare arrow sets; the twins compare `Germ`s from
+    # `germ_at`, and both name the same point and chart pair
+    kind, *args = case
+    build, twin = ((lg.Atlas, _atlas_twin) if kind == "atlas"
+                   else (lg.LocalSubgroupoid, _gluing_twin))
+    expected = twin(*args)
+    try:
+        build(*args)
+    except lg.ValidationError as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert expected is None
 
 
 @st.composite
