@@ -34,8 +34,9 @@ from .sections import (Atlas, Germ, LocalSubgroupoid, canonical_atlas,
                        generated_from_atlas, germ_at, germ_leq, glob, loc,
                        refines, restrict_section, section_from_atlas,
                        section_leq)
-from .spaces import (FiniteSpace, connected_components, enumerate_opens,
-                     generate_topology, is_finer, relative_openness,
-                     space_from_basis, subspace)
+from .spaces import (FiniteSpace, connected_components, count_opens,
+                     enumerate_opens, generate_topology, is_finer,
+                     open_label_lists, relative_openness, space_from_basis,
+                     subspace)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

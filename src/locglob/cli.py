@@ -30,8 +30,8 @@ from .instance_io import ParsedInstance, load_instance
 from .oracle import (DEFAULT_ARROW_BOUND, cross_check_connectivity,
                      cross_check_enumeration, cross_check_glob, instance_suite)
 from .sections import Atlas, glob, loc, section_from_atlas
-from .spaces import (_minimal_cover, connected_components, label_key,
-                     sorted_labels)
+from .spaces import (_minimal_cover, connected_components, count_opens,
+                     label_key, open_label_lists, sorted_labels)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,7 +117,7 @@ def cmd_analyze(parsed: ParsedInstance) -> dict:
     doc = {
         "space": {
             "points": sorted_labels(space.points),
-            "open_sets": len(space.opens),
+            "open_sets": count_opens(space),
         },
         "groupoid": {
             "objects": len(g.objects),
@@ -144,7 +144,7 @@ def cmd_analyze(parsed: ParsedInstance) -> dict:
         "totally_coherent": total,
         "first_failing_open": None,  # none, by the total-coherence lemma
         "foliation": {
-            "opens": _set_list(foliated.opens),
+            "opens": open_label_lists(foliated),
             "components":
                 _set_list(connected_components(foliated, foliated.points)),
         },

@@ -17,8 +17,9 @@ from .groupoids import (WideSubgroupoid, _generated_components,
                         restrict_wide, transitivity_components)
 from .sections import (Atlas, Germ, LocalSubgroupoid, _loc_arguments, glob,
                        loc, restrict_section, section_from_atlas)
-from .spaces import (FiniteSpace, connected_components, enumerate_opens,
-                     generate_topology, label_key, sorted_labels)
+from .spaces import (FiniteSpace, connected_components, count_opens,
+                     enumerate_opens, generate_topology, label_key,
+                     open_label_lists, sorted_labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +103,11 @@ def is_totally_coherent(section: LocalSubgroupoid,
     With no `max_opens` the open family is never listed. A caller that
     gives one gets `ResourceLimitError` on more opens than that.
     """
-    if max_opens is not None and len(section.space.opens) > max_opens:
-        raise ResourceLimitError(
-            f"{len(section.space.opens)} open sets exceeds the configured "
-            f"cap of {max_opens}")
+    if max_opens is not None:
+        opens = count_opens(section.space)
+        if opens > max_opens:
+            raise ResourceLimitError(
+                f"{opens} open sets exceeds the configured cap of {max_opens}")
     return True, None
 
 
@@ -342,7 +344,7 @@ def verify_foliation_components(section: LocalSubgroupoid,
     details = {
         "transitivity_components": glob_comps,
         "foliation_components": fol_comps,
-        "foliation_opens": _set_list(foliated.opens),
+        "foliation_opens": open_label_lists(foliated),
     }
     return TheoremReport("foliation-components", True,
                          counterexample is None, counterexample, details)
@@ -386,7 +388,7 @@ def verify_restriction_coherence(section: LocalSubgroupoid, cover,
     total = is_totally_coherent(section, max_opens)[0]
     conc1 = report.globally_coherent
     first = TheoremReport("restriction-global-coherence", conc1 and total,
-                          conc1, None, {"opens_checked": len(space.opens)})
+                          conc1, None, {"opens_checked": count_opens(space)})
 
     minimal = {space.minimal_open(x) for x in space.points}
     hyp2 = all(coherence_report(restrict_section(section, v)).globally_coherent

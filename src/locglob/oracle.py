@@ -298,8 +298,8 @@ def relative_openness_by_traces(space: FiniteSpace, part, whole) -> tuple:
     `spaces.relative_openness`."""
     a = frozenset(part)
     m = frozenset(whole)
-    return (any(o & m == a for o in space.opens),
-            any(o & m == m - a for o in space.opens))
+    opens = space.opens
+    return (any(o & m == a for o in opens), any(o & m == m - a for o in opens))
 
 
 def connected_by_partition(space: FiniteSpace, subset) -> bool:

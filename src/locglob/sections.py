@@ -101,9 +101,13 @@ class Atlas:
             m = self.space.minimal_open(x)
             within = parent.arrows_within(m)
             hits = [i for i, (o, _) in enumerate(charts) if x in o]
-            first = germs[x] = Germ(x, restrict_wide(charts[hits[0]][1], m))
+            # the first chart's germ, `restrict_wide(chart, m)`: its open
+            # domain holds x and so m, and `within` is already looked up
+            chart = charts[hits[0]][1]
+            kept = chart.arrows & within
+            germs[x] = Germ(x, WideSubgroupoid._trusted(chart.parent, m, kept))
             for j in hits[1:]:
-                if charts[j][1].arrows & within != first.rep.arrows:
+                if charts[j][1].arrows & within != kept:
                     raise AtlasConsistencyError(
                         f"charts {hits[0]} and {j} induce different germs "
                         f"at point {x!r}",

@@ -9,7 +9,9 @@ exact, and the whole package leans on it.
 A finite topology is the same thing as its specialisation preorder
 (y lies in m(x)), so a space stores only its points and m(x), and each
 operation below is a one-line lemma on them; the open family is listed
-on demand, up to MAX_OPENS sets. The public constructor checks the
+on demand, up to MAX_OPENS sets, as integer bitmasks over the sorted
+points (`FiniteSpace._open_masks`), and everything that lists or counts
+opens reads that one family. The public constructor checks the
 topology laws; the builders below skip the check, because their m(x)
 are minimal neighbourhoods by construction.
 """
@@ -122,17 +124,38 @@ class FiniteSpace:
         return hash((self.points, frozenset(self._minimal.items())))
 
     @cached_property
-    def opens(self) -> frozenset:
-        """Every open set: the unions of minimal neighbourhoods, grown by
-        one m(x) at a time. Raises once the family passes MAX_OPENS."""
-        family = {frozenset()}
-        for m in set(self._minimal.values()):
+    def _open_masks(self) -> list:
+        """Every open set as a bitmask, in `set_key` order: the unions of
+        the minimal neighbourhoods, grown by one m(x) at a time with
+        integer OR. Raises once the family passes MAX_OPENS.
+
+        Bit i (counted from the top) is the i-th point of `sorted_labels`.
+        Order lemma: sorting the masks in descending order and then
+        stably by bit count gives `set_key` order. Proof. Take opens A
+        and B of one size, and let a be the least label of their
+        symmetric difference; say a is in A. Every label of A or B below
+        a lies in both, so the sorted labels of A and B agree up to a,
+        where A has a and B some label above a: A comes first in
+        `set_key` order. The highest bit where the masks differ is a's,
+        set in A, so A's mask is also the larger. (Where two labels share
+        their text, `set_key` ties the opens, and either order is its
+        order.)"""
+        bit = dict(_bits(self.points))
+        family = {0}
+        for m in {sum(bit[y] for y in o) for o in self._minimal.values()}:
             for o in list(family):
                 family.add(o | m)
                 if len(family) > MAX_OPENS:
                     raise ResourceLimitError(
                         f"more than {MAX_OPENS} open sets, too many to list")
-        return frozenset(family)
+        masks = sorted(family, reverse=True)
+        masks.sort(key=int.bit_count)
+        return masks
+
+    @property
+    def opens(self) -> frozenset:
+        """Every open set."""
+        return frozenset(enumerate_opens(self))
 
     def minimal_open(self, x) -> frozenset:
         """Smallest open neighbourhood of x: the intersection of every
@@ -176,9 +199,28 @@ def space_from_basis(points, basis) -> FiniteSpace:
         f"{sorted_labels(u)[0]!r}"))
 
 
+def _bits(points) -> list:
+    """(label, bit) for each point in `sorted_labels` order, the first
+    point on the highest bit: the numbering of `FiniteSpace._open_masks`."""
+    top = len(points) - 1
+    return [(x, 1 << (top - i)) for i, x in enumerate(sorted_labels(points))]
+
+
+def open_label_lists(space: FiniteSpace) -> list:
+    """All opens, each as its `sorted_labels` list, in `set_key` order:
+    `[sorted_labels(o) for o in enumerate_opens(space)]`."""
+    bits = _bits(space.points)
+    return [[x for x, b in bits if m & b] for m in space._open_masks]
+
+
 def enumerate_opens(space: FiniteSpace) -> list:
     """All opens, ordered by size then lexicographically by labels."""
-    return sorted_sets(space.opens)
+    return [frozenset(labels) for labels in open_label_lists(space)]
+
+
+def count_opens(space: FiniteSpace) -> int:
+    """The number of open sets. Lists them, so it raises past MAX_OPENS."""
+    return len(space._open_masks)
 
 
 def connected_components(space: FiniteSpace, subset) -> frozenset:

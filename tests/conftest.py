@@ -8,12 +8,13 @@ import pytest
 import locglob as lg
 from locglob.errors import ResourceLimitError
 from locglob.groupoids import _generated_components
-from locglob.oracle import (component_clopenness_by_scan,
+from locglob.oracle import (close_family, component_clopenness_by_scan,
                             cover_restrictions_by_scan, glob_by_refinements,
                             glob_by_subgroupoid_defn,
                             restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
-from locglob.spaces import _minimal_cover, connected_components, sorted_sets
+from locglob.spaces import (_minimal_cover, connected_components,
+                            sorted_labels, sorted_sets)
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 
@@ -85,6 +86,16 @@ def subsets(points) -> list:
     labels = sorted(points)
     return [frozenset(c) for k in range(len(labels) + 1)
             for c in itertools.combinations(labels, k)]
+
+
+def assert_listing_matches_closed_family(space):
+    """The mask listing of `spaces` against its twin: the topology closed
+    straight from its definition, then sorted by `set_key`."""
+    family = sorted_sets(close_family(
+        space.points, [space.minimal_open(x) for x in space.points]))
+    assert lg.open_label_lists(space) == [sorted_labels(o) for o in family]
+    assert lg.enumerate_opens(space) == family
+    assert lg.count_opens(space) == len(family)
 
 
 def refinement_options(atlas) -> list:

@@ -11,15 +11,22 @@ deliberate output change regenerates them with
     python tests/test_golden.py
 
 and says so in CHANGES.md.
+
+The two large documents of `large_documents.py` have outputs of up to
+12 MB, too large to commit, so their `--format json` stdout is pinned
+as a sha256 digest instead.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
 import sys
 
 import pytest
+
+from large_documents import write_documents
 
 HERE = pathlib.Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
@@ -68,6 +75,33 @@ def test_cli_output_matches_golden(name):
     expected = (GOLDEN / f"{name}.json").read_bytes()
     actual = _golden_text(capture(CASES[name])).encode("utf-8")
     assert actual == expected
+
+
+LARGE_DIGESTS = {
+    ("analyze", "discrete16"):
+        "6bf8705e28773b3c0d73555117298dd6330c5fae9b2d9b21736dbbb2f2e30443",
+    ("verify", "discrete16"):
+        "e7a14617e3ae4ea8a63fd8b36281fba67f7e27ba407d807729ebd6ce8acc66d0",
+    ("analyze", "chain20"):
+        "7448ad8326e51f1c1bc9b4a0937547211f7ad736b0bdff9b12df6652ee8d1353",
+    ("verify", "chain20"):
+        "979942ba1718e207bfde7509b2dff51c3454d83d0a39a2fdf4fe35fbe7a19b4e",
+}
+
+
+@pytest.fixture(scope="module")
+def large_paths(tmp_path_factory):
+    return write_documents(tmp_path_factory.mktemp("large"))
+
+
+@pytest.mark.parametrize("command, name", sorted(LARGE_DIGESTS))
+def test_large_document_output_matches_its_digest(command, name,
+                                                  large_paths):
+    run = capture([command, "--input", large_paths[name],
+                   "--format", "json"])
+    assert (run["exit_code"], run["stderr"]) == (0, "")
+    digest = hashlib.sha256(run["stdout"].encode("utf-8")).hexdigest()
+    assert digest == LARGE_DIGESTS[command, name]
 
 
 if __name__ == "__main__":

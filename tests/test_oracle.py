@@ -20,8 +20,8 @@ from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
                             totally_coherent_by_scan)
 from locglob.spaces import label_key, sorted_labels
 
-from conftest import (PAIRS, cases, pair_id, refinement_options, subsets,
-                      walk)
+from conftest import (PAIRS, assert_listing_matches_closed_family, cases,
+                      pair_id, refinement_options, subsets, walk)
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -558,22 +558,45 @@ def test_total_coherence_scan_guard(monkeypatch, s_nc):
         totally_coherent_by_scan(s_nc)
 
 
+def test_open_listing_matches_the_sorted_closed_family():
+    # every topology on 1 to 4 points; chains across the byte and the
+    # 16-bit boundaries of the masks, labelled c0, c1, ... so that text
+    # order ("c10" < "c2") is not chain order; and the divisibility
+    # order on the ints 1 to 12, whose text order is not numeric order
+    for n in range(1, 5):
+        for space in all_topologies(n):
+            assert_listing_matches_closed_family(space)
+    for n in (9, 16, 17, 24):
+        points = [f"c{i}" for i in range(n)]
+        chain = lg.space_from_basis(points,
+                                    [points[:i + 1] for i in range(n)])
+        assert lg.count_opens(chain) == n + 1
+        assert_listing_matches_closed_family(chain)
+    numbers = range(1, 13)
+    divisors = lg.space_from_basis(
+        numbers, [[d for d in numbers if k % d == 0] for k in numbers])
+    assert sorted_labels(numbers)[:5] == [1, 10, 11, 12, 2]
+    assert_listing_matches_closed_family(divisors)
+
+
 def test_space_operations_match_explicit_families():
     # every topology on 1 to 4 points, built from its explicit family,
     # against the family-level definitions of each operation
     spaces = [s for n in range(1, 5) for s in all_topologies(n)]
     assert len(spaces) == 389
+    family = {}  # space -> its opens, listed once
     for space in spaces:
         points = space.points
         minimal = [space.minimal_open(x) for x in points]
-        assert space.opens == close_family(points, minimal)
+        opens = family[space] = space.opens
+        assert opens == close_family(points, minimal)
         rebuilt = lg.space_from_basis(points, minimal)
-        assert rebuilt == space and rebuilt.opens == space.opens
+        assert rebuilt == space and rebuilt.opens == opens
         for e in subsets(points):
             finer = lg.generate_topology(space, [e])
-            assert finer.opens == close_family(points, space.opens | {e})
+            assert finer.opens == close_family(points, opens | {e})
             region = lg.subspace(space, e)
-            assert region.opens == frozenset(o & e for o in space.opens)
+            assert region.opens == frozenset(o & e for o in opens)
             for part in subsets(e):
                 assert (lg.relative_openness(space, part, e)
                         == relative_openness_by_traces(space, part, e))
@@ -582,5 +605,5 @@ def test_space_operations_match_explicit_families():
         for finer in same_points:
             for coarser in same_points:
                 assert (lg.is_finer(finer, coarser)
-                        == (coarser.opens <= finer.opens))
+                        == (family[coarser] <= family[finer]))
 

@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -193,27 +195,49 @@ def test_large_discrete_space_answers_without_listing_opens():
         space.opens
 
 
-class _CountedUnions(frozenset):
-    """A minimal open that counts the unions `o | m` taken with it."""
+def _line_runs(func, marker, call) -> int:
+    """Call `call()` and count the runs of the line of `func` whose text
+    holds `marker`, tracing `func`'s own frames only."""
+    lines, first = inspect.getsourcelines(func)
+    target = first + next(i for i, line in enumerate(lines) if marker in line)
+    runs = 0
 
-    unions = 0
+    def in_func(frame, event, arg):
+        nonlocal runs
+        runs += event == "line" and frame.f_lineno == target
+        return in_func
 
-    def __ror__(self, other):
-        _CountedUnions.unions += 1
-        return frozenset.__ror__(self, other)
+    sys.settrace(lambda frame, event, arg:
+                 in_func if frame.f_code is func.__code__ else None)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return runs
 
 
 def test_open_listing_stops_as_soon_as_it_passes_the_bound(monkeypatch):
     # a 6-point discrete space has 64 opens; with a bound of 40 the
     # listing must stop at the 41st set, not after the doubling to 64
     monkeypatch.setattr(lg.spaces, "MAX_OPENS", 40)
-    points = frozenset("abcdef")
-    space = lg.FiniteSpace._trusted(
-        points, {x: _CountedUnions({x}) for x in points})
-    _CountedUnions.unions = 0
-    with pytest.raises(ResourceLimitError, match="more than 40 open sets"):
-        space.opens
-    assert _CountedUnions.unions == 40
+    space = lg.space_from_basis("abcdef", [[x] for x in "abcdef"])
+
+    def listing():
+        with pytest.raises(ResourceLimitError, match="more than 40 open sets"):
+            lg.count_opens(space)
+
+    masks = lg.FiniteSpace._open_masks.func  # the cached_property's body
+    assert _line_runs(masks, "family.add(o | m)", listing) == 40
+
+
+def test_listing_stops_exactly_past_max_opens():
+    points = [f"p{i:02d}" for i in range(17)]
+    sixteen = lg.space_from_basis(points[:16], [[x] for x in points[:16]])
+    assert lg.count_opens(sixteen) == MAX_OPENS == 65536
+    seventeen = lg.space_from_basis(points, [[x] for x in points])
+    with pytest.raises(ResourceLimitError,
+                       match="^more than 65536 open sets, too many to list$"):
+        lg.count_opens(seventeen)
 
 
 def _blocks_by_search(items, pairs) -> frozenset:

@@ -30,7 +30,7 @@ import locglob as lg
 from locglob.oracle import close_family, relative_openness_by_traces
 from locglob.spaces import set_key
 
-from conftest import ROWS, walk
+from conftest import ROWS, assert_listing_matches_closed_family, walk
 
 
 def _up_closure(points, edges) -> dict:
@@ -361,6 +361,7 @@ def test_space_operations_match_explicit_families(case):
     space = lg.space_from_basis(points, list(minimal.values()))
     family = close_family(points, minimal.values())
     assert space.opens == family
+    assert_listing_matches_closed_family(space)
     assert space == lg.FiniteSpace(points, family)
     finer = lg.generate_topology(space, extras)
     assert finer.opens == close_family(points, set(family) | {
