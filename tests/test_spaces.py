@@ -207,12 +207,13 @@ def _line_runs(func, marker, call) -> int:
         runs += event == "line" and frame.f_lineno == target
         return in_func
 
+    previous = sys.gettrace()
     sys.settrace(lambda frame, event, arg:
                  in_func if frame.f_code is func.__code__ else None)
     try:
         call()
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     return runs
 
 
