@@ -15,13 +15,12 @@ from .errors import (AssociativityError, AtlasConsistencyError,
                      InvariantViolationError, InverseLawError, LocglobError,
                      MissingIdentityError, ParseError, ResourceLimitError,
                      UsageError, ValidationError)
-from .groupoids import (FiniteGroup, Groupoid, WideSubgroupoid, anchor_image,
-                        cyclic_group, finite_group, full_restriction,
-                        full_wide, generate_wide, group_bundle,
-                        identities_only, identity_groupoid, intersect_wide,
-                        is_subgroupoid, pair_groupoid, rel_times_group,
-                        restrict_wide, transitivity_components,
-                        validate_groupoid, wide_subgroupoid)
+from .groupoids import (FiniteGroup, Groupoid, WideSubgroupoid, cyclic_group,
+                        finite_group, full_restriction, generate_wide,
+                        group_bundle, intersect_wide, pair_groupoid,
+                        rel_times_group, restrict_wide,
+                        transitivity_components, validate_groupoid,
+                        wide_subgroupoid)
 from .instance_io import (ParsedInstance, load_instance, parse_instance,
                           serialize_instance)
 from .oracle import (Instance, InstanceSuite, all_topologies,
@@ -31,12 +30,10 @@ from .oracle import (Instance, InstanceSuite, all_topologies,
                      glob_by_subgroupoid_defn, instance_suite,
                      totally_coherent_by_scan)
 from .sections import (Atlas, Germ, LocalSubgroupoid, canonical_atlas,
-                       generated_from_atlas, germ_at, germ_leq, glob, loc,
-                       refines, restrict_section, section_from_atlas,
-                       section_leq)
+                       germ_at, germ_leq, glob, loc, refines,
+                       restrict_section, section_from_atlas)
 from .spaces import (FiniteSpace, connected_components, count_opens,
-                     enumerate_opens, generate_topology, is_finer,
-                     open_label_lists, relative_openness, space_from_basis,
-                     subspace)
+                     enumerate_opens, generate_topology, open_label_lists,
+                     relative_openness, space_from_basis, subspace)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

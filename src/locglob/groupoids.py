@@ -60,14 +60,8 @@ class Groupoid:
         stays right; the oracles scan arrows themselves and never read it."""
         return {}
 
-    def src(self, arrow):
-        return self.source[arrow]
-
-    def tgt(self, arrow):
-        return self.target[arrow]
-
     def compose(self, first, second):
-        """first then second; defined when tgt(first) == src(second)."""
+        """first then second, when target[first] == source[second]."""
         return self.table[(first, second)]
 
     def non_identity_count(self) -> int:
@@ -132,6 +126,10 @@ def validate_groupoid(candidate: Groupoid) -> Groupoid:
     if unknown_objs:
         raise ValidationError(
             f"identity assigned to unknown objects: {sorted_labels(unknown_objs)}")
+    unknown_arrows = set(g.inverse) - set(g.source)
+    if unknown_arrows:
+        raise ValidationError(
+            f"inverse assigned to unknown arrows: {sorted_labels(unknown_arrows)}")
     for x in sorted(g.objects, key=label_key):
         e = g.identity.get(x)
         if e is None or e not in g.source or g.source[e] != x or g.target[e] != x:
@@ -252,14 +250,6 @@ def wide_subgroupoid(parent: Groupoid, base, arrows=()) -> WideSubgroupoid:
     return WideSubgroupoid(parent, base, frozenset(arrows) | ids)
 
 
-def identities_only(parent: Groupoid, base) -> WideSubgroupoid:
-    return wide_subgroupoid(parent, base)
-
-
-def full_wide(parent: Groupoid, base) -> WideSubgroupoid:
-    return wide_subgroupoid(parent, base, parent.arrows_within(base))
-
-
 def full_restriction(g: Groupoid, region) -> Groupoid:
     """The groupoid of all arrows of g that start and end in `region`."""
     reg = frozenset(region)
@@ -373,15 +363,6 @@ def intersect_wide(subgroupoids) -> WideSubgroupoid:
     return WideSubgroupoid._trusted(first.parent, first.base, arrows)
 
 
-def is_subgroupoid(inner: WideSubgroupoid, outer: WideSubgroupoid) -> bool:
-    if inner.parent != outer.parent:
-        raise ValidationError("parent mismatch")
-    if not inner.base <= outer.base:
-        raise ValidationError(
-            "base of the smaller must lie inside the base of the larger")
-    return inner.arrows <= outer.arrows
-
-
 def _check_printable_labels(labels, what):
     """Synthesized arrow ids embed labels as strings, so labels must
     stringify injectively and avoid the id separators."""
@@ -489,14 +470,6 @@ def pair_groupoid(points) -> Groupoid:
                      lambda x: _TRIVIAL_GROUP, lambda p, q, k: f"{p}:{q}")
 
 
-def identity_groupoid(points) -> Groupoid:
-    """Only identity loops: the discrete groupoid on the points."""
-    pts = frozenset(points)
-    _check_printable_labels(pts, "point")
-    return _tabulate([(p, p) for p in pts],
-                     lambda x: _TRIVIAL_GROUP, lambda p, q, k: f"{p}:{q}")
-
-
 def group_bundle(points, fibers) -> Groupoid:
     """A loops-only groupoid: source equals target everywhere, with the
     fiber group sitting over each point. Arrow ids are p#g."""
@@ -521,12 +494,3 @@ def rel_times_group(relation: WideSubgroupoid, group: FiniteGroup) -> Groupoid:
             "relation must be a wide subgroupoid of a pair groupoid")
     return _tabulate([(pg.source[a], pg.target[a]) for a in relation.arrows],
                      lambda x: group, lambda x, y, k: f"{x}:{y}#{k}")
-
-
-def anchor_image(h: WideSubgroupoid) -> WideSubgroupoid:
-    """Image of h under arrow -> (source, target), inside the pair
-    groupoid on the base. Always an equivalence relation."""
-    pg = pair_groupoid(h.base)
-    g = h.parent
-    image = frozenset(f"{g.source[a]}:{g.target[a]}" for a in h.arrows)
-    return WideSubgroupoid(pg, h.base, image)

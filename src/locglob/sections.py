@@ -253,23 +253,6 @@ def restrict_section(section: LocalSubgroupoid, region) -> LocalSubgroupoid:
     return LocalSubgroupoid._trusted(sub_space, sub_parent, germs)
 
 
-def section_leq(lower: LocalSubgroupoid, upper: LocalSubgroupoid) -> bool:
-    """Pointwise germ order."""
-    if lower.space != upper.space or lower.parent != upper.parent:
-        raise ValidationError(
-            "sections over different spaces or groupoids are incomparable")
-    return all(germ_leq(lower.germs[x], upper.germs[x])
-               for x in lower.space.points)
-
-
-def generated_from_atlas(atlas: Atlas) -> WideSubgroupoid:
-    """Wide subgroupoid generated by every chart's arrows."""
-    seed = set()
-    for _, sub in atlas.charts:
-        seed |= sub.arrows
-    return generate_wide(atlas.parent, atlas.space.points, seed)
-
-
 def refines(finer: Atlas, coarser: Atlas) -> bool:
     """True when every chart of `finer` is the restriction of some chart
     of `coarser` to a smaller open set."""

@@ -87,13 +87,14 @@ class FiniteSpace:
         # of its opens o (union: opens are unions of minimal neighbourhoods)
         minimal = {x: points.intersection(*(o for o in family if x in o))
                    for x in points}
-        for x in sorted_labels(points):
+        labels = sorted_labels(points)
+        for x in labels:
             if minimal[x] not in family:
                 raise ValidationError(
                     f"opens not closed under intersection: the opens "
                     f"containing {x!r} meet in {sorted_labels(minimal[x])}")
         for o in sorted_sets(family):
-            for x in sorted_labels(points):
+            for x in labels:
                 if o | minimal[x] not in family:
                     raise ValidationError(
                         f"opens not closed under union: {sorted_labels(o)} "
@@ -267,10 +268,3 @@ def subspace(space: FiniteSpace, region) -> FiniteSpace:
             f"unknown points: {sorted_labels(reg - space.points)}")
     return FiniteSpace._trusted(
         reg, {x: space._minimal[x] & reg for x in reg})
-
-
-def is_finer(finer: FiniteSpace, coarser: FiniteSpace) -> bool:
-    """True when both spaces share points and every open of `coarser` is
-    open in `finer`: m(x) in `finer` lies in m(x) in `coarser`."""
-    return finer.points == coarser.points and all(
-        finer._minimal[x] <= coarser._minimal[x] for x in finer.points)

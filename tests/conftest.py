@@ -77,6 +77,11 @@ def suite412():
     return _suite(4, 12)
 
 
+def full_wide(parent, base):
+    """Every arrow of `parent` inside `base`, as a wide subgroupoid."""
+    return lg.wide_subgroupoid(parent, base, parent.arrows_within(base))
+
+
 def fixture_path(name: str) -> str:
     return str(FIXTURE_DIR / name)
 
@@ -338,8 +343,8 @@ ROWS = {
 # instance's wide subgroupoids among its sections
 WIDES = {
     "glob": lambda section, atlas: [lg.glob(section)],
-    "full": lambda section, atlas: [lg.full_wide(section.parent,
-                                                 section.space.points)],
+    "full": lambda section, atlas: [full_wide(section.parent,
+                                              section.space.points)],
     "single-chart": lambda section, atlas: (
         [atlas.charts[0][1]] if len(atlas.charts) == 1 else []),
     "charts": lambda section, atlas: [lg.generate_wide(

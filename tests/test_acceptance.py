@@ -18,7 +18,7 @@ from locglob.oracle import (component_clopenness_by_scan, cross_check_glob,
 from locglob.instance_io import load_instance, parse_instance, serialize_instance
 from locglob.cli import _section_source
 
-from conftest import fixture_path
+from conftest import fixture_path, full_wide
 
 SECTION_FIXTURES = [
     "nc_pair_atlas.json",
@@ -68,8 +68,9 @@ def test_c01_three_way_globalisation_agreement(suite36, s_nc, a_nc):
 
 def test_c02_identity_groupoid_sections_globally_coherent():
     for label, space in _named_spaces().items():
-        g = lg.identity_groupoid(space.points)
-        wide = lg.full_wide(g, g.objects)
+        g = lg.group_bundle(space.points,
+                            dict.fromkeys(space.points, lg.cyclic_group(1)))
+        wide = full_wide(g, g.objects)
         section = lg.loc(space, wide)
         report = lg.coherence_report(section)
         assert report.coherent and report.globally_coherent, label
@@ -86,7 +87,7 @@ def test_c03_group_bundles_globally_coherent():
     for space in spaces:
         fibers = {p: lg.cyclic_group(2) for p in space.points}
         g = lg.group_bundle(space.points, fibers)
-        full = lg.full_wide(g, g.objects)
+        full = full_wide(g, g.objects)
         section = lg.loc(space, full)
         assert lg.coherence_report(section).globally_coherent
         assert lg.glob(section) == full
@@ -190,6 +191,12 @@ def test_c09_every_section_coherent(suite36):
     _ok(9, f"every generated section coherent ({count} sections)")
 
 
+def _section_leq(lower, upper) -> bool:
+    """The section order: the germ order at every point."""
+    return all(lg.germ_leq(lower.germ(x), upper.germ(x))
+               for x in lower.space.points)
+
+
 def test_c10_order_and_closure_laws(suite36, sp_nc, nc_pair):
     counts = {
         "germ_order": 0,
@@ -224,18 +231,18 @@ def test_c10_order_and_closure_laws(suite36, sp_nc, nc_pair):
         sections = inst.sections
         globs = {s: lg.glob(s) for s in sections}
         for s, t in itertools.product(sections, repeat=2):
-            low, high = lg.section_leq(s, t), lg.section_leq(t, s)
+            low, high = _section_leq(s, t), _section_leq(t, s)
             if s is t:
                 assert low and high
             if low and high:
                 assert s == t
             if low:
-                assert lg.is_subgroupoid(globs[s], globs[t])
+                assert globs[s].arrows <= globs[t].arrows
                 counts["glob_monotone"] += 1
             counts["section_order"] += 1
         for s, t, u in itertools.product(sections[:6], repeat=3):
-            if lg.section_leq(s, t) and lg.section_leq(t, u):
-                assert lg.section_leq(s, u)
+            if _section_leq(s, t) and _section_leq(t, u):
+                assert _section_leq(s, u)
 
     # loc monotone and glob(loc(H)) below H, on the suite and on the
     # larger fixture space
@@ -246,17 +253,17 @@ def test_c10_order_and_closure_laws(suite36, sp_nc, nc_pair):
         locs = {h: lg.loc(space, h) for h in subgroupoids}
         globs = {h: lg.glob(locs[h]) for h in subgroupoids}
         for h in subgroupoids:
-            assert lg.is_subgroupoid(globs[h], h)
+            assert globs[h].arrows <= h.arrows
             counts["glob_loc_deflationary"] += 1
         for h1, h2 in itertools.combinations(subgroupoids, 2):
-            small, big = ((h1, h2) if lg.is_subgroupoid(h1, h2)
-                          else (h2, h1) if lg.is_subgroupoid(h2, h1)
+            small, big = ((h1, h2) if h1.arrows <= h2.arrows
+                          else (h2, h1) if h2.arrows <= h1.arrows
                           else (None, None))
             if small is None:
                 continue
-            assert lg.section_leq(locs[small], locs[big])
+            assert _section_leq(locs[small], locs[big])
             counts["loc_monotone"] += 1
-            assert lg.is_subgroupoid(globs[small], globs[big])
+            assert globs[small].arrows <= globs[big].arrows
             counts["glob_monotone"] += 1
 
     # generated closures: extensive, monotone, idempotent on seeded
@@ -271,7 +278,7 @@ def test_c10_order_and_closure_laws(suite36, sp_nc, nc_pair):
         assert first <= h1.arrows
         counts["generate_extensive"] += 1
         h12 = lg.generate_wide(g4, g4.objects, first | second)
-        assert lg.is_subgroupoid(h1, h12)
+        assert h1.arrows <= h12.arrows
         counts["generate_monotone"] += 1
         assert lg.generate_wide(g4, g4.objects, h1.arrows) == h1
         counts["generate_idempotent"] += 1
@@ -289,8 +296,10 @@ def test_c11_anchor_round_trip():
         pg = lg.pair_groupoid(points)
         for relation in lg.enumerate_wide_subgroupoids(pg, pg.objects):
             product = lg.rel_times_group(relation, lg.cyclic_group(2))
-            image = lg.anchor_image(lg.full_wide(product, product.objects))
-            assert image == relation
+            # the anchor sends each arrow to its (source, target) pair
+            image = {f"{product.source[a]}:{product.target[a]}"
+                     for a in product.arrow_ids}
+            assert image == relation.arrows
             checked += 1
     assert checked == 8
     _ok(11, f"anchor round trip on all {checked} equivalence relations")

@@ -1,6 +1,8 @@
 import contextlib
 import copy
 import functools
+import importlib
+import inspect
 import io
 import json
 import os
@@ -20,7 +22,7 @@ from locglob.cli import main
 from locglob.instance_io import (load_instance, parse_instance,
                                  serialize_instance)
 
-from conftest import FIXTURE_DIR, fixture_path
+from conftest import FIXTURE_DIR, fixture_path, full_wide
 
 VALID_FIXTURES = [
     "nc_pair_atlas.json",
@@ -56,12 +58,23 @@ def test_round_trip_of_a_space_with_too_many_opens_to_list():
     # minimal neighbourhoods
     points = [f"p{i:02d}" for i in range(17)]
     space = lg.space_from_basis(points, [{p} for p in points])
-    first = lg.ParsedInstance(space, lg.identity_groupoid(points), None, None)
+    first = lg.ParsedInstance(space, lg.group_bundle(
+        points, dict.fromkeys(points, lg.cyclic_group(1))), None, None)
     doc = serialize_instance(first)
     assert doc["space"]["basis"] == [[p] for p in points]
     second = parse_instance(json.loads(json.dumps(doc)))
     _instances_equal(first, second)
     assert serialize_instance(second) == doc
+
+
+def test_round_trip_rejects_inverses_of_unknown_arrows():
+    # a written document lists the inverse of each arrow and no other,
+    # so a stray inverse_of key could not survive the round trip
+    doc = serialize_instance(load_instance(fixture_path("rel_k2.json")))
+    doc["groupoid"]["inverse_of"]["zz"] = doc["groupoid"]["arrows"][0]["id"]
+    with pytest.raises(lg.ValidationError, match=(
+            r"^inverse assigned to unknown arrows: \['zz'\]$")):
+        parse_instance(doc)
 
 
 def test_analyze_json_output(capsys):
@@ -339,6 +352,57 @@ def test_every_error_class_is_pinned():
     assert set(_readme_exit_codes()) == {c for _, c, _ in ERROR_CLASSES}
 
 
+# adding or removing a public name shows up as a diff of this list
+PUBLIC_NAMES = [
+    "AssociativityError", "Atlas", "AtlasConsistencyError", "AtlasCoverError",
+    "CoherenceReport", "EndpointMismatchError", "FiniteGroup", "FiniteSpace",
+    "Germ", "Groupoid", "Instance", "InstanceSuite", "InvariantViolationError",
+    "InverseLawError", "LocalSubgroupoid", "LocglobError",
+    "MissingIdentityError", "ParseError", "ParsedInstance",
+    "ResourceLimitError", "TheoremReport", "UsageError", "ValidationError",
+    "WideSubgroupoid", "all_topologies", "canonical_atlas", "coherence",
+    "coherence_report", "connected_by_partition", "connected_components",
+    "count_opens", "cross_check_connectivity", "cross_check_enumeration",
+    "cross_check_glob", "cyclic_group", "enumerate_opens",
+    "enumerate_wide_subgroupoids", "errors", "finite_group", "foliation_space",
+    "full_restriction", "generate_topology", "generate_wide", "germ_at",
+    "germ_leq", "glob", "glob_by_refinements", "glob_by_subgroupoid_defn",
+    "group_bundle", "groupoids", "instance_io", "instance_suite",
+    "intersect_wide", "is_totally_coherent", "load_instance", "loc",
+    "open_label_lists", "oracle", "pair_groupoid", "parse_instance", "refines",
+    "rel_times_group", "relative_openness", "restrict_section",
+    "restrict_wide", "section_from_atlas", "sections", "serialize_instance",
+    "space_from_basis", "spaces", "subgroupoid_coherence", "subspace",
+    "totally_coherent_by_scan", "transitivity_components", "validate_groupoid",
+    "verify_component_clopenness", "verify_connectivity_globalization",
+    "verify_foliation_components", "verify_local_connectivity_coherence",
+    "verify_restriction_coherence", "wide_subgroupoid",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(lg.__all__) == PUBLIC_NAMES
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_step_calls_resolve(monkeypatch):
+    # the benchmark harness wraps every STEP_CALLS name with getattr on
+    # each run, and passes its max_opens positionally to two checkers
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for module, names in workloads.STEP_CALLS.items():
+        found = importlib.import_module(f"locglob.{module}")
+        for name in names:
+            assert callable(getattr(found, name, None)), (module, name)
+    co, section = lg.coherence, object()
+    inspect.signature(co.is_totally_coherent).bind(section,
+                                                    workloads.MAX_OPENS)
+    inspect.signature(co.verify_restriction_coherence).bind(
+        section, [], workloads.MAX_OPENS)
+
+
 _Z2_MUL = [["0", "0", "0"], ["0", "1", "1"], ["1", "0", "1"],
            ["1", "1", "0"]]
 
@@ -396,6 +460,12 @@ REJECTIONS = {
         _explicit_doc([("1p", "p", "p")], [["1p", "1p", "1p"]],
                       inverse_of={"1p": ["1p"]}), ["analyze"], 1,
         "error[parse]: groupoid.inverse_of must map strings to strings"),
+    "inverse-of-an-unknown-arrow": (
+        _explicit_doc([("1p", "p", "p")], [["1p", "1p", "1p"]],
+                      inverse_of={"1p": "1p", "zz": "1p", "yy": "1p"}),
+        ["analyze"], 2,
+        "error[validation]: inverse assigned to unknown arrows: "
+        "['yy', 'zz']"),
     "atlas-not-a-list": (
         {"space": {"points": ["a"], "basis": []},
          "groupoid": {"kind": "pair"},
@@ -455,8 +525,8 @@ def test_input_check_rejects_with_one_line(tmp_path, capsys, name):
 # each oracle-check comparison, made to disagree by patching one oracle
 DISAGREEMENTS = {
     "glob": ("glob_by_refinements",
-             lambda section, atlas: lg.full_wide(section.parent,
-                                                 section.space.points),
+             lambda section, atlas: full_wide(section.parent,
+                                              section.space.points),
              "error[invariant]: globalisation mismatch: fast ['1:1', '2:2'], "
              "by definition ['1:1', '2:2'], by refinements "
              "['1:1', '1:2', '2:1', '2:2']"),

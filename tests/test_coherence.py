@@ -9,7 +9,7 @@ from locglob.errors import (InvariantViolationError, ResourceLimitError,
                             ValidationError)
 from locglob.spaces import sorted_labels, sorted_sets
 
-from conftest import fixture_path
+from conftest import fixture_path, full_wide
 
 
 def _single_chart_section(space, wide):
@@ -41,7 +41,7 @@ def test_coherence_report_nc(s_nc):
 def test_coherence_report_globally_coherent_cases(sp_disc2, sp_ind2):
     g = lg.pair_groupoid({"1", "2"})
     for space in (sp_disc2, sp_ind2):
-        section = _single_chart_section(space, lg.full_wide(g, g.objects))
+        section = _single_chart_section(space, full_wide(g, g.objects))
         report = lg.coherence_report(section)
         assert report.coherent and report.globally_coherent
         assert report.witnesses == ()
@@ -55,13 +55,13 @@ def test_totally_coherent(s_nc):
 
 def test_subgroupoid_coherence(sp_disc2, sp_ind2, sp_sier, sp_nc, nc_pair, s_nc):
     pair2 = lg.pair_groupoid({"1", "2"})
-    full2 = lg.full_wide(pair2, pair2.objects)
+    full2 = full_wide(pair2, pair2.objects)
     assert lg.subgroupoid_coherence(sp_disc2, full2) == (True, False)
     assert lg.subgroupoid_coherence(sp_ind2, full2) == (True, True)
     fibers = {p: lg.cyclic_group(2) for p in ("1", "2")}
     bundle = lg.group_bundle({"1", "2"}, fibers)
     assert lg.subgroupoid_coherence(
-        sp_sier, lg.full_wide(bundle, bundle.objects)) == (True, True)
+        sp_sier, full_wide(bundle, bundle.objects)) == (True, True)
     assert lg.subgroupoid_coherence(sp_nc, lg.glob(s_nc)) == (True, True)
 
 
@@ -78,7 +78,8 @@ def test_theorem_report_certificate_invariant():
 
 def test_foliation_space(sp_nc, a_nc, s_nc):
     foliated = lg.foliation_space(s_nc, a_nc)
-    assert lg.is_finer(foliated, sp_nc)
+    assert all(foliated.minimal_open(x) <= sp_nc.minimal_open(x)
+               for x in sp_nc.points)
     # chart components cut everything down to singletons here
     assert len(foliated.opens) == 64
     other = lg.Atlas(sp_nc, ((sp_nc.points, lg.glob(s_nc)),))
@@ -107,15 +108,17 @@ def test_component_clopenness(sp_nc, nc_pair, s_nc):
     # the precondition reads germs as arrow sets, and still tells apart
     # equal arrow ids in another groupoid; `loc`'s own checks run first
     points = sp_nc.points
-    ids = lg.identities_only(nc_pair, points)
-    other = lg.identities_only(lg.identity_groupoid(points), points)
+    # the Z/1 and the Z/2 bundle share their identity arrows p#0
+    fibers = {k: dict.fromkeys(points, lg.cyclic_group(k)) for k in (1, 2)}
+    ids = lg.wide_subgroupoid(lg.group_bundle(points, fibers[1]), points)
+    other = lg.wide_subgroupoid(lg.group_bundle(points, fibers[2]), points)
     assert other.arrows == ids.arrows
     with pytest.raises(ValidationError, match="germ section"):
         lg.verify_component_clopenness(lg.loc(sp_nc, ids), other, cover)
     for bad, message in (
-            (lg.identities_only(nc_pair, points - {"x"}),
+            (lg.wide_subgroupoid(nc_pair, points - {"x"}),
              "loc needs a wide subgroupoid over the whole space"),
-            (lg.identities_only(lg.pair_groupoid(points | {"w"}), points),
+            (lg.wide_subgroupoid(lg.pair_groupoid(points | {"w"}), points),
              "ambient groupoid must live on the space's points")):
         with pytest.raises(ValidationError, match=f"^{message}$"):
             lg.verify_component_clopenness(section, bad, cover)
@@ -126,7 +129,7 @@ def test_component_clopenness(sp_nc, nc_pair, s_nc):
 def test_local_connectivity_coherence_pass(sp_sier):
     g = lg.pair_groupoid({"1", "2"})
     report = lg.verify_local_connectivity_coherence(
-        sp_sier, lg.full_wide(g, g.objects))
+        sp_sier, full_wide(g, g.objects))
     assert report.status == "pass"
     assert report.details["points_without_neighbourhood"] == []
     # every minimal neighbourhood already works, so each is the witness
@@ -159,8 +162,8 @@ def test_local_connectivity_takes_first_larger_open_in_sorted_order():
 
 def test_connectivity_globalization(sp_sier, sp_disc2):
     g = lg.pair_groupoid({"1", "2"})
-    full = lg.full_wide(g, g.objects)
-    ids = lg.identities_only(g, g.objects)
+    full = full_wide(g, g.objects)
+    ids = lg.wide_subgroupoid(g, g.objects)
 
     forward, converse = lg.verify_connectivity_globalization(sp_sier, full)
     assert forward.status == "pass"
@@ -205,7 +208,7 @@ def test_foliation_components_checker(sp_disc2, s_nc, a_nc):
 
     g = lg.pair_groupoid({"1", "2"})
     atlas = lg.Atlas(sp_disc2, ((sp_disc2.points,
-                                 lg.full_wide(g, g.objects)),))
+                                 full_wide(g, g.objects)),))
     section = lg.section_from_atlas(atlas)
     assert lg.verify_foliation_components(section, atlas).status == "pass"
 
@@ -213,7 +216,7 @@ def test_foliation_components_checker(sp_disc2, s_nc, a_nc):
 def test_restriction_coherence(sp_disc2, sp_nc, s_nc):
     g = lg.pair_groupoid({"1", "2"})
     atlas = lg.Atlas(sp_disc2, ((sp_disc2.points,
-                                 lg.full_wide(g, g.objects)),))
+                                 full_wide(g, g.objects)),))
     section = lg.section_from_atlas(atlas)
     first, second = lg.verify_restriction_coherence(
         section, [frozenset({"1"}), frozenset({"2"})])

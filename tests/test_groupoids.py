@@ -11,13 +11,13 @@ from locglob.errors import (AssociativityError, EndpointMismatchError,
 from locglob.groupoids import MAX_REGIONS, _arrow_closure
 from locglob.oracle import _arrows_inside
 
-from conftest import subsets
+from conftest import full_wide, subsets
 
 PAIR4 = lg.pair_groupoid({"1", "2", "3", "4"})
 NON_ID4 = sorted(PAIR4.arrow_ids - PAIR4.identity_ids)
 # non-abelian enough for closure: composites in either order differ
 REL3_Z3 = lg.rel_times_group(
-    lg.full_wide(lg.pair_groupoid({"1", "2", "3"}), {"1", "2", "3"}),
+    full_wide(lg.pair_groupoid({"1", "2", "3"}), {"1", "2", "3"}),
     lg.cyclic_group(3))
 
 
@@ -32,10 +32,9 @@ def _perturbed_pair(points=("1", "2"), **overrides):
 
 def test_validate_accepts_constructions():
     lg.validate_groupoid(lg.pair_groupoid({"1", "2", "3"}))
-    lg.validate_groupoid(lg.identity_groupoid({"1", "2"}))
     fibers = {p: lg.cyclic_group(2) for p in ("1", "2")}
     lg.validate_groupoid(lg.group_bundle({"1", "2"}, fibers))
-    rel = lg.full_wide(lg.pair_groupoid({"1", "2"}), {"1", "2"})
+    rel = full_wide(lg.pair_groupoid({"1", "2"}), {"1", "2"})
     lg.validate_groupoid(lg.rel_times_group(rel, lg.cyclic_group(2)))
 
 
@@ -155,12 +154,12 @@ def test_wide_subgroupoid_helper_adds_identities():
     g = lg.pair_groupoid({"1", "2"})
     h = lg.wide_subgroupoid(g, {"1", "2"}, {"1:2", "2:1"})
     assert h.arrows == g.arrow_ids
-    assert lg.identities_only(g, g.objects).arrows == g.identity_ids
-    assert lg.full_wide(g, g.objects) == h
+    assert lg.wide_subgroupoid(g, g.objects).arrows == g.identity_ids
+    assert full_wide(g, g.objects) == h
 
 
 def test_restrict_and_full_restriction(sp_nc, nc_pair):
-    full = lg.full_wide(nc_pair, nc_pair.objects)
+    full = full_wide(nc_pair, nc_pair.objects)
     cut = lg.restrict_wide(full, {"p", "q"})
     assert cut.arrows == frozenset({"p:p", "q:q", "p:q", "q:p"})
     small = lg.full_restriction(nc_pair, {"p", "q"})
@@ -173,7 +172,7 @@ def test_restrict_and_full_restriction(sp_nc, nc_pair):
 def test_generate_wide_example():
     g = lg.pair_groupoid({"1", "2", "3"})
     h = lg.generate_wide(g, g.objects, {"1:2", "2:3"})
-    assert h == lg.full_wide(g, g.objects)
+    assert h == full_wide(g, g.objects)
     two = lg.generate_wide(g, g.objects, {"1:2"})
     assert two.arrows == frozenset({"1:1", "2:2", "3:3", "1:2", "2:1"})
 
@@ -219,7 +218,7 @@ def test_generate_wide_monotone(first, second):
     base = PAIR4.objects
     small = lg.generate_wide(PAIR4, base, first)
     big = lg.generate_wide(PAIR4, base, first | second)
-    assert lg.is_subgroupoid(small, big)
+    assert small.arrows <= big.arrows
 
 
 def _all_pairs_composition_message(g, arrows):
@@ -313,7 +312,7 @@ def groupoids_with_regions(draw):
 @given(groupoids_with_regions())
 def test_region_index_matches_scan_on_random_groupoids(case):
     g, regions, h = case
-    _index_matches_scan(g, regions, [h, lg.full_wide(g, g.objects)])
+    _index_matches_scan(g, regions, [h, full_wide(g, g.objects)])
 
 
 def test_region_memo_stays_within_its_bound():
@@ -352,7 +351,7 @@ def test_group_bundle_structure():
     g = lg.group_bundle({"1", "2"}, fibers)
     assert len(g.arrow_ids) == 4
     assert g.non_identity_count() == 2
-    assert all(g.src(a) == g.tgt(a) for a in g.arrow_ids)
+    assert all(g.source[a] == g.target[a] for a in g.arrow_ids)
     assert g.compose("1#1", "1#1") == "1#0"
 
 
@@ -363,15 +362,17 @@ def test_rel_times_group_and_anchor():
     # five relation pairs, two group elements each
     assert len(g.arrow_ids) == 10
     assert g.compose("1:2#1", "2:1#1") == "1:1#0"
-    full = lg.full_wide(g, g.objects)
-    assert lg.anchor_image(full) == rel
+    # the anchor (source, target) maps the arrows onto the relation
+    assert {f"{g.source[a]}:{g.target[a]}" for a in g.arrow_ids} == rel.arrows
     with pytest.raises(ValidationError):
-        lg.rel_times_group(lg.full_wide(g, g.objects), lg.cyclic_group(2))
+        lg.rel_times_group(full_wide(g, g.objects), lg.cyclic_group(2))
 
 
 def test_groupoid_equality_is_structural():
     assert lg.pair_groupoid({"1", "2"}) == lg.pair_groupoid({"2", "1"})
-    assert lg.pair_groupoid({"1", "2"}) != lg.identity_groupoid({"1", "2"})
+    discrete = lg.group_bundle({"1", "2"},
+                               dict.fromkeys({"1", "2"}, lg.cyclic_group(1)))
+    assert lg.pair_groupoid({"1", "2"}) != discrete
 
 
 def test_finite_group_validation():
@@ -414,8 +415,11 @@ def _twin_cases():
         on_trivial = dict.fromkeys(points, trivial)
         yield (f"pair-{n}", lg.pair_groupoid(points), full, on_trivial,
                lambda x, y, k: f"{x}:{y}")
-        yield (f"identity-{n}", lg.identity_groupoid(points), diagonal,
-               on_trivial, lambda x, y, k: f"{x}:{y}")
+        pg = lg.pair_groupoid(points)
+        # the discrete groupoid: the diagonal relation times Z/1
+        yield (f"identity-{n}",
+               lg.rel_times_group(lg.wide_subgroupoid(pg, points), trivial),
+               diagonal, on_trivial, lambda x, y, k: f"{x}:{y}#{k}")
         groups = list(TWIN_GROUPS.values())
         mixed = {x: groups[i % len(groups)] for i, x in enumerate(points)}
         for name, fibers in [*((g, dict.fromkeys(points, grp))
@@ -423,7 +427,6 @@ def _twin_cases():
                              ("mixed", mixed)]:
             yield (f"bundle-{name}-{n}", lg.group_bundle(points, fibers),
                    diagonal, fibers, lambda x, y, k: f"{x}#{k}")
-        pg = lg.pair_groupoid(points)
         for rel_name, pairs in (("full", full), ("parity", parity)):
             relation = lg.wide_subgroupoid(
                 pg, points, [f"{x}:{y}" for x, y in pairs])

@@ -21,7 +21,7 @@ from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
 from locglob.spaces import label_key, sorted_labels
 
 from conftest import (PAIRS, assert_listing_matches_closed_family, cases,
-                      pair_id, refinement_options, subsets, walk)
+                      full_wide, pair_id, refinement_options, subsets, walk)
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -46,7 +46,7 @@ def test_enumeration_is_deterministic_and_valid():
     keys = [(len(h.arrows), sorted(h.arrows)) for h in subs]
     assert keys == sorted(keys)
     assert subs[0].arrows == g.identity_ids
-    assert subs[-1] == lg.full_wide(g, g.objects)
+    assert subs[-1] == full_wide(g, g.objects)
 
 
 def test_enumeration_guard():
@@ -149,7 +149,7 @@ def test_glob_by_defn_on_small_spaces(sp_disc2, sp_ind2, sp_sier):
 def test_glob_by_refinements_discrete_full(sp_disc2):
     g = lg.pair_groupoid({"1", "2"})
     atlas = lg.Atlas(sp_disc2, ((sp_disc2.points,
-                                 lg.full_wide(g, g.objects)),))
+                                 full_wide(g, g.objects)),))
     section = lg.section_from_atlas(atlas)
     # minimal neighbourhoods are singletons, so the refinement
     # intersection drops both crossing arrows
@@ -172,7 +172,7 @@ def _discrete_full_chart(n):
     points = {str(i) for i in range(1, n + 1)}
     space = lg.space_from_basis(points, [{p} for p in points])
     g = lg.pair_groupoid(points)
-    atlas = lg.Atlas(space, ((space.points, lg.full_wide(g, g.objects)),))
+    atlas = lg.Atlas(space, ((space.points, full_wide(g, g.objects)),))
     return lg.section_from_atlas(atlas), atlas
 
 
@@ -196,10 +196,10 @@ def test_glob_by_refinements_validation(monkeypatch, sp_ind2):
     # different germs, so the atlases define different sections
     g = lg.pair_groupoid({"1", "2"})
     atlas = lg.Atlas(sp_ind2, ((sp_ind2.points,
-                                lg.full_wide(g, g.objects)),))
+                                full_wide(g, g.objects)),))
     section = lg.section_from_atlas(atlas)
     other = lg.Atlas(sp_ind2, ((sp_ind2.points,
-                                lg.identities_only(g, g.objects)),))
+                                lg.wide_subgroupoid(g, g.objects)),))
     with pytest.raises(ValidationError, match="does not define"):
         glob_by_refinements(section, other)
     monkeypatch.setattr(oracle, "MAX_FOLD_UNIONS", 0)
@@ -211,13 +211,13 @@ def test_glob_by_refinements_compares_sections_by_value(sp_ind2):
     # an equal section built afresh is accepted, any other is rejected
     g = lg.pair_groupoid({"1", "2"})
     atlas = lg.Atlas(sp_ind2, ((sp_ind2.points,
-                                lg.full_wide(g, g.objects)),))
+                                full_wide(g, g.objects)),))
     section = lg.section_from_atlas(atlas)
     rebuilt = lg.LocalSubgroupoid(sp_ind2, g, dict(section.germs))
     assert rebuilt is not section
     assert (glob_by_refinements(rebuilt, atlas)
             == glob_by_refinements(section, atlas))
-    smaller = lg.loc(sp_ind2, lg.identities_only(g, g.objects))
+    smaller = lg.loc(sp_ind2, lg.wide_subgroupoid(g, g.objects))
     with pytest.raises(ValidationError, match="does not define"):
         glob_by_refinements(smaller, atlas)
 
@@ -539,7 +539,7 @@ def test_clopenness_scan_finds_a_failure_when_the_cover_is_not_open():
     # {1}, which is not open inside {1, 2}
     space = lg.space_from_basis({"1", "2"}, [{"2"}])
     g = lg.pair_groupoid(space.points)
-    wide = lg.full_wide(g, g.objects)
+    wide = full_wide(g, g.objects)
     section = lg.loc(space, wide)
     cover = [frozenset({"1"}), frozenset({"2"})]
     with pytest.raises(ValidationError, match="open"):
@@ -584,11 +584,10 @@ def test_space_operations_match_explicit_families():
     # against the family-level definitions of each operation
     spaces = [s for n in range(1, 5) for s in all_topologies(n)]
     assert len(spaces) == 389
-    family = {}  # space -> its opens, listed once
     for space in spaces:
         points = space.points
         minimal = [space.minimal_open(x) for x in points]
-        opens = family[space] = space.opens
+        opens = space.opens
         assert opens == close_family(points, minimal)
         rebuilt = lg.space_from_basis(points, minimal)
         assert rebuilt == space and rebuilt.opens == opens
@@ -600,10 +599,3 @@ def test_space_operations_match_explicit_families():
             for part in subsets(e):
                 assert (lg.relative_openness(space, part, e)
                         == relative_openness_by_traces(space, part, e))
-    for n in range(1, 5):
-        same_points = [s for s in spaces if len(s.points) == n]
-        for finer in same_points:
-            for coarser in same_points:
-                assert (lg.is_finer(finer, coarser)
-                        == (family[coarser] <= family[finer]))
-

@@ -8,10 +8,12 @@ import locglob as lg
 from locglob.errors import (AtlasConsistencyError, AtlasCoverError,
                             ValidationError)
 
+from conftest import full_wide
+
 
 def test_germ_at_validation(sp_sier):
     g = lg.pair_groupoid({"1", "2"})
-    full = lg.full_wide(g, g.objects)
+    full = full_wide(g, g.objects)
     with pytest.raises(ValidationError, match="open"):
         closed_chart = lg.wide_subgroupoid(g, {"1"})
         lg.germ_at(sp_sier, closed_chart, "1")
@@ -27,20 +29,20 @@ def test_germ_canonicalisation_shrinks_to_minimal(sp_sier):
     # germs of the same chart at the same point are equal no matter how
     # the chart domain is cut down, as long as it stays open
     g = lg.pair_groupoid({"1", "2"})
-    full = lg.full_wide(g, g.objects)
+    full = full_wide(g, g.objects)
     small = lg.restrict_wide(full, {"2"})
     assert lg.germ_at(sp_sier, full, "2") == lg.germ_at(sp_sier, small, "2")
 
 
 def test_germ_leq(sp_sier):
     g = lg.pair_groupoid({"1", "2"})
-    low = lg.germ_at(sp_sier, lg.identities_only(g, g.objects), "1")
-    high = lg.germ_at(sp_sier, lg.full_wide(g, g.objects), "1")
+    low = lg.germ_at(sp_sier, lg.wide_subgroupoid(g, g.objects), "1")
+    high = lg.germ_at(sp_sier, full_wide(g, g.objects), "1")
     assert lg.germ_leq(low, high)
     assert not lg.germ_leq(high, low)
     assert lg.germ_leq(low, low)
     with pytest.raises(ValidationError, match="different points"):
-        lg.germ_leq(low, lg.germ_at(sp_sier, lg.full_wide(g, g.objects), "2"))
+        lg.germ_leq(low, lg.germ_at(sp_sier, full_wide(g, g.objects), "2"))
 
 
 def test_atlas_cover_error(sp_nc, nc_pair):
@@ -80,7 +82,7 @@ def test_atlas_chart_validation(sp_sier):
         lg.Atlas(sp_sier, ((frozenset({"1"}),
                             lg.wide_subgroupoid(g, {"1"})),
                            (frozenset({"1", "2"}),
-                            lg.full_wide(g, g.objects))))
+                            full_wide(g, g.objects))))
 
 
 def test_nc_section_germs(sp_nc, s_nc):
@@ -101,8 +103,8 @@ def test_nc_section_germs(sp_nc, s_nc):
 def test_section_gluing_enforced():
     space = lg.space_from_basis({"1", "2", "3"}, [])
     g = lg.pair_groupoid(space.points)
-    ids = lg.identities_only(g, g.objects)
-    full = lg.full_wide(g, g.objects)
+    ids = lg.wide_subgroupoid(g, g.objects)
+    full = full_wide(g, g.objects)
     germs = {x: lg.Germ(x, ids) for x in space.points}
     germs["2"] = lg.Germ("2", full)
     with pytest.raises(ValidationError, match="gluing"):
@@ -111,18 +113,18 @@ def test_section_gluing_enforced():
 
 def test_section_requires_minimal_bases(sp_sier):
     g = lg.pair_groupoid({"1", "2"})
-    full = lg.full_wide(g, g.objects)
+    full = full_wide(g, g.objects)
     germs = {"1": lg.Germ("1", full), "2": lg.Germ("2", full)}
     with pytest.raises(ValidationError, match="minimal"):
         lg.LocalSubgroupoid(sp_sier, g, germs)
 
 
 def test_loc_of_full_subgroupoid(sp_nc, nc_pair):
-    section = lg.loc(sp_nc, lg.full_wide(nc_pair, nc_pair.objects))
+    section = lg.loc(sp_nc, full_wide(nc_pair, nc_pair.objects))
     assert section.germ("x").rep.arrows == frozenset(
         a for a in nc_pair.arrow_ids
-        if nc_pair.src(a) in {"x", "p", "q"}
-        and nc_pair.tgt(a) in {"x", "p", "q"})
+        if nc_pair.source[a] in {"x", "p", "q"}
+        and nc_pair.target[a] in {"x", "p", "q"})
     with pytest.raises(ValidationError, match="whole space"):
         lg.loc(sp_nc, lg.wide_subgroupoid(nc_pair, {"p", "q"}))
 
@@ -144,16 +146,21 @@ def test_restrict_section(sp_nc, s_nc):
 
 
 def test_section_leq(sp_ind2):
+    # the section order is the germ order at every point
     g = lg.pair_groupoid({"1", "2"})
-    low = lg.loc(sp_ind2, lg.identities_only(g, g.objects))
-    high = lg.loc(sp_ind2, lg.full_wide(g, g.objects))
-    assert lg.section_leq(low, high)
-    assert not lg.section_leq(high, low)
-    assert lg.section_leq(low, low) and lg.section_leq(high, high)
+    low = lg.loc(sp_ind2, lg.wide_subgroupoid(g, g.objects))
+    high = lg.loc(sp_ind2, full_wide(g, g.objects))
+    for x in sp_ind2.points:
+        assert lg.germ_leq(low.germ(x), high.germ(x))
+        assert not lg.germ_leq(high.germ(x), low.germ(x))
+        assert lg.germ_leq(low.germ(x), low.germ(x))
 
 
 def test_generated_from_atlas_matches_glob(a_nc, s_nc):
-    assert lg.generated_from_atlas(a_nc) == lg.glob(s_nc)
+    # glob(s) is generated by the union of the charts of any atlas of s
+    seed = set().union(*(sub.arrows for _, sub in a_nc.charts))
+    generated = lg.generate_wide(a_nc.parent, a_nc.space.points, seed)
+    assert generated == lg.glob(s_nc)
 
 
 def test_refines(sp_nc, a_nc, s_nc):
@@ -170,7 +177,7 @@ def test_refines(sp_nc, a_nc, s_nc):
 def test_canonical_atlas_dedupes():
     space = lg.space_from_basis({"1", "2"}, [])
     g = lg.pair_groupoid(space.points)
-    section = lg.loc(space, lg.full_wide(g, g.objects))
+    section = lg.loc(space, full_wide(g, g.objects))
     atlas = lg.canonical_atlas(section)
     # both points share one minimal neighbourhood, so one chart remains
     assert len(atlas.charts) == 1
@@ -185,9 +192,9 @@ MANY_WITNESSES = {
     "gluing": ("""
 space = lg.space_from_basis("abcd", [{"a", "b"}, {"b"}, {"c", "d"}, {"d"}])
 g = lg.group_bundle("abcd", dict.fromkeys("abcd", lg.cyclic_group(2)))
-full = lg.full_wide(g, space.points)
+full = lg.wide_subgroupoid(g, space.points, g.arrow_ids)
 germs = {x: lg.germ_at(space, full, x) for x in "ac"}
-germs.update({x: lg.Germ(x, lg.identities_only(g, {x})) for x in "bd"})
+germs.update({x: lg.Germ(x, lg.wide_subgroupoid(g, {x})) for x in "bd"})
 lg.LocalSubgroupoid(space, g, germs)
 """, "gluing law fails from 'a' to 'b'"),
     "unknown-open-label": ("""

@@ -111,8 +111,8 @@ def test_relative_openness(sp_sier, sp_nc):
 def test_generate_topology_refines(sp_sier):
     finer = lg.generate_topology(sp_sier, [{"1"}])
     assert finer.is_open({"1"})
-    assert lg.is_finer(finer, sp_sier)
-    assert not lg.is_finer(sp_sier, finer)
+    assert finer.minimal_open("1") < sp_sier.minimal_open("1")
+    assert finer.minimal_open("2") == sp_sier.minimal_open("2")
 
 
 def test_subspace(sp_nc):
@@ -190,7 +190,6 @@ def test_large_discrete_space_answers_without_listing_opens():
     assert sub.minimal_open("p00") == {"p00"}
     assert lg.relative_openness(space, points[:7], points[:30]) == (True, True)
     assert len(lg.connected_components(space, space.points)) == 40
-    assert lg.is_finer(space, lg.space_from_basis(points, []))
     with pytest.raises(ResourceLimitError, match=str(MAX_OPENS)):
         space.opens
 
