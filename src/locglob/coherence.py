@@ -188,6 +188,11 @@ def verify_component_clopenness(section: LocalSubgroupoid,
          "components_checked": len(components)})
 
 
+def _traces_connected(space: FiniteSpace, comps, w) -> bool:
+    """Every nonempty trace c & w of a component c is connected."""
+    return all(len(connected_components(space, c & w)) < 2 for c in comps)
+
+
 def verify_local_connectivity_coherence(space: FiniteSpace,
                                         wide: WideSubgroupoid) -> TheoremReport:
     """Checked statement: if every point has an open neighbourhood W such
@@ -195,34 +200,31 @@ def verify_local_connectivity_coherence(space: FiniteSpace,
     components, then the germ section of `wide` is coherent.
 
     The minimal open neighbourhood is tried first, then every other open
-    containing the point: the hypothesis is existential.
-    """
+    containing the point, in sorted order: the hypothesis is existential.
+    Lemma: for H = `wide` and any W, the components of H|W are the
+    nonempty traces C & W of H's components C. H|W is closed under
+    composition, so u, v in W share one of its components iff an arrow of
+    H|W joins them, that is, an arrow of H, as its ends lie in W: iff u
+    and v share a component of H. So the search reads one partition and
+    builds no restriction; its twin is `oracle.local_connectivity_by_scan`."""
     if wide.base != space.points:
         raise ValidationError(
             "checker needs a wide subgroupoid over the whole space")
+    comps = transitivity_components(wide)
     opens = []  # the sorted open family, listed once some m(x) fails
-
-    def neighbourhoods(m, x):
-        yield m
-        if not opens:
-            opens.extend(enumerate_opens(space))
-        yield from (o for o in opens if x in o and o != m)
-
-    witnesses = {}
-    failed = []
+    found = {}  # point -> its first neighbourhood, or None
     for x in sorted_labels(space.points):
-        for w in neighbourhoods(space.minimal_open(x), x):
-            comps = _generated_components(
-                wide.parent, w, wide.arrows & wide.parent.arrows_within(w))
-            if all(len(connected_components(space, c)) == 1 for c in comps):
-                witnesses[x] = w
-                break
-        else:
-            failed.append(x)
+        w = space.minimal_open(x)
+        if not _traces_connected(space, comps, w):
+            opens = opens or enumerate_opens(space)
+            w = next((o for o in opens if x in o
+                      and _traces_connected(space, comps, o)), None)
+        found[x] = w
+    failed = [label_key(x) for x, w in found.items() if w is None]
     details = {
         "neighbourhoods": {label_key(x): sorted_labels(w)
-                           for x, w in witnesses.items()},
-        "points_without_neighbourhood": [label_key(x) for x in failed],
+                           for x, w in found.items() if w is not None},
+        "points_without_neighbourhood": failed,
     }
     # the conclusion is the total-coherence lemma (see
     # `is_totally_coherent`): every section on a finite space is coherent
@@ -260,8 +262,7 @@ def verify_connectivity_globalization(space: FiniteSpace,
         raise ValidationError(
             "checker needs a wide subgroupoid over the whole space")
     comps = transitivity_components(wide)
-    connected = all(len(connected_components(space, comp)) == 1
-                    for comp in comps)
+    connected = _traces_connected(space, comps, space.points)
     closed = all(map(space.is_open, comps))
     equal = connected or subgroupoid_coherence(space, wide)[1]
     details = {
@@ -373,9 +374,10 @@ def verify_restriction_coherence(section: LocalSubgroupoid, cover,
     s|m(x) is globally coherent. Every restriction is totally coherent
     by the lemma of `is_totally_coherent`, and its cap is implied by the
     cap on the whole section checked in the conclusion, since an open
-    subspace has no more opens than the space. So only the members that
-    are no m(x) are restricted and compared with their globalisation.
-    The member-by-member scan is `oracle.cover_restrictions_by_scan`.
+    subspace has no more opens than the space. So members that are no
+    m(x) are restricted and compared with their globalisation, and only
+    if s is not globally coherent: if it is, so is each s|V by the first
+    proof. The member-by-member scan is `oracle.cover_restrictions_by_scan`.
     A section that is not coherent breaks the same lemma, so it is a
     germ or closure bug and raises `InvariantViolationError`."""
     space = section.space
@@ -391,8 +393,9 @@ def verify_restriction_coherence(section: LocalSubgroupoid, cover,
                           conc1, None, {"opens_checked": count_opens(space)})
 
     minimal = {space.minimal_open(x) for x in space.points}
-    hyp2 = all(coherence_report(restrict_section(section, v)).globally_coherent
-               for v in cover_sets if v not in minimal)
+    hyp2 = conc1 or all(
+        coherence_report(restrict_section(section, v)).globally_coherent
+        for v in cover_sets if v not in minimal)
     second = TheoremReport("restriction-total-coherence", hyp2, total, None,
                            {"cover": _set_list(cover_sets)})
     return first, second

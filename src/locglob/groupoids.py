@@ -57,7 +57,7 @@ class Groupoid:
     def _regions(self) -> dict:
         """region -> `arrows_within(region)`, for at most MAX_REGIONS
         regions, oldest first. The groupoid never changes, so a kept set
-        stays right; the oracles scan arrows themselves and never read it."""
+        stays right; the glob oracles scan arrows and never read it."""
         return {}
 
     def compose(self, first, second):

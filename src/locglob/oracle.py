@@ -27,7 +27,7 @@ from .spaces import (FiniteSpace, connected_components, enumerate_opens,
 DEFAULT_ARROW_BOUND = 16
 MAX_FILTER_ARROWS = 8  # non-identity arrows the subset filter tries
 MAX_FOLD_UNIONS = 200_000  # unions the refinement fold forms
-MAX_SCAN_OPENS = 4096  # opens the total-coherence scan restricts to
+MAX_SCAN_OPENS = 4096  # opens the two open-by-open scans restrict to
 MAX_SPLIT_POINTS = 20  # points whose clopen splits are searched
 MAX_SUBSET_SCAN_POINTS = 12  # points whose subsets are scanned
 MAX_SUITE_POINTS = 4  # points of the spaces the suite generator lists
@@ -205,17 +205,23 @@ def _first_failing(section: LocalSubgroupoid, regions, holds):
     return True, None
 
 
+def _scan_opens(space: FiniteSpace) -> list:
+    """`enumerate_opens(space)`, refused past MAX_SCAN_OPENS before any
+    restriction is made."""
+    opens = enumerate_opens(space)
+    if len(opens) > MAX_SCAN_OPENS:
+        raise ResourceLimitError(
+            f"{len(opens)} open sets exceeds the configured cap of "
+            f"{MAX_SCAN_OPENS}")
+    return opens
+
+
 def totally_coherent_by_scan(section: LocalSubgroupoid):
     """Total coherence straight from its definition: restrict the section
     to every open set, in `enumerate_opens` order, and test coherence;
     (flag, first failing open or None). Twin of
     `coherence.is_totally_coherent`, which answers by a lemma."""
-    opens = enumerate_opens(section.space)
-    if len(opens) > MAX_SCAN_OPENS:
-        raise ResourceLimitError(
-            f"{len(opens)} open sets exceeds the configured cap of "
-            f"{MAX_SCAN_OPENS}")
-    return _first_failing(section, opens,
+    return _first_failing(section, _scan_opens(section.space),
                           lambda r: coherence_report(r).coherent)
 
 
@@ -225,7 +231,7 @@ def restriction_global_coherence_by_scan(section: LocalSubgroupoid):
     and compare it with its globalisation; (flag, first failing open or
     None). Twin of the restriction-global-coherence conclusion of
     `coherence.verify_restriction_coherence`, which answers by a lemma."""
-    return _first_failing(section, enumerate_opens(section.space),
+    return _first_failing(section, _scan_opens(section.space),
                           lambda r: coherence_report(r).globally_coherent)
 
 
@@ -330,6 +336,32 @@ def connected_by_partition(space: FiniteSpace, subset) -> bool:
                     and relative_openness(space, sub - part, sub)[0]):
                 return False
     return True
+
+
+def local_connectivity_by_scan(space: FiniteSpace,
+                               wide: WideSubgroupoid) -> dict:
+    """The local-connectivity hypothesis straight from its definition:
+    for each point x, in sorted order, try m(x) and then every other open
+    holding x, in `enumerate_opens` order; restrict `wide` to the open by
+    a scan of the arrows, close it, and test each of its transitivity
+    components for a clopen split. Returns the `details` of
+    `coherence.verify_local_connectivity_coherence`, which reads every
+    restriction's components as traces of those of `wide`."""
+    g = wide.parent
+    opens = enumerate_opens(space)
+    neighbourhoods, failed = {}, []
+    for x in sorted_labels(space.points):
+        m = space.minimal_open(x)
+        for w in [m] + [o for o in opens if x in o and o != m]:
+            inside = wide.arrows & _arrows_inside(g, w)  # wide|w
+            if all(connected_by_partition(space, c) for c in
+                   transitivity_components(generate_wide(g, w, inside))):
+                neighbourhoods[label_key(x)] = sorted_labels(w)
+                break
+        else:
+            failed.append(label_key(x))
+    return {"neighbourhoods": neighbourhoods,
+            "points_without_neighbourhood": failed}
 
 
 @dataclass(frozen=True, eq=False)

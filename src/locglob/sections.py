@@ -170,11 +170,6 @@ class LocalSubgroupoid:
         object.__setattr__(section, "germs", germs)
         return section
 
-    def germ(self, x) -> Germ:
-        if x not in self.germs:
-            raise ValidationError(f"unknown point {x!r}")
-        return self.germs[x]
-
     def __eq__(self, other):
         if self is other:
             return True

@@ -11,6 +11,7 @@ from locglob.groupoids import _generated_components
 from locglob.oracle import (close_family, component_clopenness_by_scan,
                             cover_restrictions_by_scan, glob_by_refinements,
                             glob_by_subgroupoid_defn,
+                            local_connectivity_by_scan,
                             restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
 from locglob.spaces import (_minimal_cover, connected_components,
@@ -292,6 +293,16 @@ def _clopenness(case):
     return flag
 
 
+def _local_connectivity(case):
+    """The local-connectivity checker, which reads the components of
+    each restriction of H as traces of H's own, against the search that
+    restricts H to each candidate open and closes it."""
+    section, _, wide, _ = case
+    report = lg.verify_local_connectivity_coherence(section.space, wide)
+    assert report.details == local_connectivity_by_scan(section.space, wide)
+    return report.hypothesis_holds
+
+
 @functools.cache
 def _foliation(section, atlas):
     # both foliation rows read the checker; a suite asks it once per case
@@ -334,6 +345,7 @@ ROWS = {
     "generator-components": _generator_components,
     "forward": _forward,
     "clopenness": _clopenness,
+    "local-connectivity": _local_connectivity,
     "foliation-criterion": _foliation_criterion,
     "connected-charts-pass": _connected_charts_pass,
 }
@@ -432,6 +444,10 @@ PAIRS = [
      (9681, 9681)),
     ("clopenness", "nc", ("glob", "full"),
      ("charts", "minimal") + ("random",) * 20, 0, (44, 44)),
+    ("local-connectivity", "3,6", ("glob",), (), None, (369, 366)),
+    ("local-connectivity", "3,6", ("every",), (), None, (404, 401)),
+    ("local-connectivity", "4,12", ("glob",), (), None, (9753, 9404)),
+    ("local-connectivity", "nc", ("glob", "full"), (), None, (2, 1)),
     ("foliation-criterion", "3,6", (), (), None, (369, 366)),
     ("foliation-criterion", "4,12", (), (), None, (9753, 9380)),
     ("foliation-criterion", "nc", (), (), None, (1, 0)),

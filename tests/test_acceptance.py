@@ -193,7 +193,7 @@ def test_c09_every_section_coherent(suite36):
 
 def _section_leq(lower, upper) -> bool:
     """The section order: the germ order at every point."""
-    return all(lg.germ_leq(lower.germ(x), upper.germ(x))
+    return all(lg.germ_leq(lower.germs[x], upper.germs[x])
                for x in lower.space.points)
 
 

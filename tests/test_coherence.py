@@ -9,7 +9,7 @@ from locglob.errors import (InvariantViolationError, ResourceLimitError,
                             ValidationError)
 from locglob.spaces import sorted_labels, sorted_sets
 
-from conftest import fixture_path, full_wide
+from conftest import cases, fixture_path, full_wide
 
 
 def _single_chart_section(space, wide):
@@ -145,19 +145,47 @@ def test_local_connectivity_coherence_vacuous():
     assert report.details["points_without_neighbourhood"] == ["2"]
 
 
-def test_local_connectivity_takes_first_larger_open_in_sorted_order():
-    # m(x) = {a, b, x} splits the component {a, b}; the opens
-    # {a, b, c, x}, {a, b, d, x} and the whole space each join it up
-    # through c or d, and the first of them in sorted order is reported
+def _sorted_order_gadget():
     space = lg.space_from_basis(
         "abcdx", [{"a"}, {"b"}, {"a", "b", "c"}, {"a", "b", "d"},
                   {"a", "b", "x"}])
     g = lg.pair_groupoid(space.points)
-    wide = lg.generate_wide(g, g.objects, {"a:b", "a:c", "a:d"})
-    report = lg.verify_local_connectivity_coherence(space, wide)
+    return space, lg.generate_wide(g, g.objects, {"a:b", "a:c", "a:d"})
+
+
+def test_local_connectivity_takes_first_larger_open_in_sorted_order():
+    # m(x) = {a, b, x} splits the component {a, b}; the opens
+    # {a, b, c, x}, {a, b, d, x} and the whole space each join it up
+    # through c or d, and the first of them in sorted order is reported
+    report = lg.verify_local_connectivity_coherence(*_sorted_order_gadget())
     assert report.status == "pass"
     assert report.details["neighbourhoods"]["x"] == ["a", "b", "c", "x"]
     assert report.details["neighbourhoods"]["a"] == ["a"]
+
+
+def test_local_connectivity_reads_one_partition(monkeypatch, suite36):
+    # the components of every restriction are traces of H's own, so the
+    # checker partitions H once and neither restricts nor links arrows
+    def refuse(*args):
+        raise AssertionError("the checker restricted or linked arrows")
+
+    checks = [_sorted_order_gadget()]
+    section, _ = cases("nc")[0]
+    checks += [(section.space, h) for h in (
+        lg.glob(section), full_wide(section.parent, section.space.points))]
+    checks += [(inst.space, h) for inst in suite36.instances
+               for h in lg.enumerate_wide_subgroupoids(inst.groupoid,
+                                                       inst.space.points)]
+    calls = []
+    partition = lg.coherence.transitivity_components
+    monkeypatch.setattr(lg.coherence, "transitivity_components",
+                        lambda h: calls.append(h) or partition(h))
+    monkeypatch.setattr(lg.coherence, "_generated_components", refuse)
+    monkeypatch.setattr(lg.Groupoid, "arrows_within", refuse)
+    for space, wide in checks:
+        calls.clear()
+        lg.verify_local_connectivity_coherence(space, wide)
+        assert calls == [wide]
 
 
 def test_connectivity_globalization(sp_sier, sp_disc2):
@@ -197,6 +225,26 @@ def test_restriction_checker_guards_coherence(monkeypatch, capsys, sp_nc,
     assert out == ""
     assert err == ("error[invariant]: section is not coherent; germ "
                    "canonicalisation is broken\n")
+
+
+def test_restriction_hypothesis_two_restricts_only_without_global_coherence(
+        monkeypatch, suite36):
+    # a globally coherent section is globally coherent on every open set,
+    # by the first statement's lemma, so no cover member is restricted
+    restricted = []
+    original = lg.coherence.restrict_section
+    monkeypatch.setattr(lg.coherence, "restrict_section",
+                        lambda s, v: restricted.append(v) or original(s, v))
+    for _, section, _ in suite36.iter_sections():
+        _, second = lg.verify_restriction_coherence(section,
+                                                    [section.space.points])
+        assert second.hypothesis_holds
+    assert restricted == []
+    section, _ = cases("nc")[0]
+    _, second = lg.verify_restriction_coherence(section,
+                                                [section.space.points])
+    assert restricted == [section.space.points]
+    assert not second.hypothesis_holds
 
 
 def test_foliation_components_checker(sp_disc2, s_nc, a_nc):

@@ -12,8 +12,8 @@ deliberate output change regenerates them with
 
 and says so in CHANGES.md.
 
-The two large documents of `large_documents.py` have outputs of up to
-12 MB, too large to commit, so their `--format json` stdout is pinned
+The three large documents of `large_documents.py` have outputs of up
+to 12 MB, too large to commit, so their `--format json` stdout is pinned
 as a sha256 digest instead.
 """
 
@@ -86,6 +86,10 @@ LARGE_DIGESTS = {
         "7448ad8326e51f1c1bc9b4a0937547211f7ad736b0bdff9b12df6652ee8d1353",
     ("verify", "chain20"):
         "979942ba1718e207bfde7509b2dff51c3454d83d0a39a2fdf4fe35fbe7a19b4e",
+    ("analyze", "rescue18"):
+        "f8b80e998b29e50b6e8ee87087755bd3b6d4ff854e656348a2c964836b492176",
+    ("verify", "rescue18"):
+        "227730f90672fb0f3008afe306edb66a28a110d96a58ab20ecbac29687b01d4a",
 }
 
 

@@ -15,13 +15,15 @@ from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
                             close_family, component_clopenness_by_scan,
                             cross_check_enumeration, cross_check_glob,
                             glob_by_refinements, glob_by_subgroupoid_defn,
+                            local_connectivity_by_scan,
                             relative_openness_by_traces,
                             restriction_global_coherence_by_scan,
                             totally_coherent_by_scan)
 from locglob.spaces import label_key, sorted_labels
 
 from conftest import (PAIRS, assert_listing_matches_closed_family, cases,
-                      full_wide, pair_id, refinement_options, subsets, walk)
+                      fixture_path, full_wide, pair_id, refinement_options,
+                      subsets, walk)
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -264,6 +266,21 @@ def test_glob_oracles_call_neither_glob_nor_germ(monkeypatch, s_nc, a_nc):
     monkeypatch.setattr(lg.Groupoid, "arrows_within", refuse)
     assert glob_by_subgroupoid_defn(s_nc, max_arrows=32) == expected
     assert glob_by_refinements(s_nc, a_nc) == expected
+
+
+def test_local_connectivity_scan_reads_no_region(monkeypatch):
+    # the twin restricts H to each open by its own scan of the arrows
+    def refuse(*args):
+        raise AssertionError("the scan read the region index")
+
+    section, _ = cases("nc")[0]
+    wides = [lg.glob(section), full_wide(section.parent, section.space.points)]
+    expected = [lg.verify_local_connectivity_coherence(section.space, h)
+                for h in wides]
+    assert [r.hypothesis_holds for r in expected] == [False, True]
+    monkeypatch.setattr(lg.Groupoid, "arrows_within", refuse)
+    assert [local_connectivity_by_scan(section.space, h)
+            for h in wides] == [r.details for r in expected]
 
 
 def test_cross_check_glob_nc(s_nc, a_nc):
@@ -518,6 +535,27 @@ def test_verify_suite_scans_each_region_once(monkeypatch, capsys):
     assert len(misses) == 2 * (1 + 3 + 7)
 
 
+def test_verify_asks_the_region_index_only_for_minimal_neighbourhoods(
+        monkeypatch, capsys):
+    # every germ, gluing check and cover member of `verify` on the
+    # fixture is some m(x), and the local-connectivity search reads
+    # traces of one partition instead of restricting H to larger opens
+    path = fixture_path("nc_pair_atlas.json")
+    space = lg.load_instance(path).space
+    regions = set()
+    original = lg.Groupoid.arrows_within
+
+    def recorded(self, region):
+        regions.add(frozenset(region))
+        return original(self, region)
+
+    monkeypatch.setattr(lg.Groupoid, "arrows_within", recorded)
+    assert cli.main(["verify", "--input", path, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert regions == {space.minimal_open(x) for x in space.points}
+    assert len(regions) == 6
+
+
 @pytest.mark.parametrize("pair", PAIRS, ids=map(pair_id, PAIRS))
 def test_fast_path_agrees_with_its_twin(pair):
     # one line of the twin table in `conftest.py`: the row's fast path
@@ -558,6 +596,18 @@ def test_total_coherence_scan_guard(monkeypatch, s_nc):
     with pytest.raises(ResourceLimitError,
                        match="18 open sets exceeds the configured cap of 4"):
         totally_coherent_by_scan(s_nc)
+
+
+def test_restriction_scan_guard_refuses_before_restricting(monkeypatch,
+                                                          s_nc):
+    def refuse(*args):
+        raise AssertionError("the scan restricted before its guard")
+
+    monkeypatch.setattr(oracle, "MAX_SCAN_OPENS", 4)
+    monkeypatch.setattr(oracle, "restrict_section", refuse)
+    with pytest.raises(ResourceLimitError,
+                       match="^18 open sets exceeds the configured cap of 4$"):
+        restriction_global_coherence_by_scan(s_nc)
 
 
 def test_open_listing_matches_the_sorted_closed_family():

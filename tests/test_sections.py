@@ -95,7 +95,7 @@ def test_nc_section_germs(sp_nc, s_nc):
         "z": {"z:z", "q:q", "r:r", "q:r", "r:q"},
     }
     for point, arrows in expected.items():
-        germ = s_nc.germ(point)
+        germ = s_nc.germs[point]
         assert germ.rep.base == sp_nc.minimal_open(point)
         assert germ.rep.arrows == frozenset(arrows)
 
@@ -121,7 +121,7 @@ def test_section_requires_minimal_bases(sp_sier):
 
 def test_loc_of_full_subgroupoid(sp_nc, nc_pair):
     section = lg.loc(sp_nc, full_wide(nc_pair, nc_pair.objects))
-    assert section.germ("x").rep.arrows == frozenset(
+    assert section.germs["x"].rep.arrows == frozenset(
         a for a in nc_pair.arrow_ids
         if nc_pair.source[a] in {"x", "p", "q"}
         and nc_pair.target[a] in {"x", "p", "q"})
@@ -138,9 +138,9 @@ def test_glob_of_nc_section(nc_pair, s_nc):
 def test_restrict_section(sp_nc, s_nc):
     inner = lg.restrict_section(s_nc, {"p", "q", "r"})
     assert inner.space.points == frozenset({"p", "q", "r"})
-    assert inner.germ("p").rep.arrows == frozenset({"p:p"})
+    assert inner.germs["p"].rep.arrows == frozenset({"p:p"})
     front = lg.restrict_section(s_nc, {"x", "p", "q"})
-    assert front.germ("x").rep.arrows == frozenset({"x:x", "p:p", "q:q"})
+    assert front.germs["x"].rep.arrows == frozenset({"x:x", "p:p", "q:q"})
     with pytest.raises(ValidationError, match="open"):
         lg.restrict_section(s_nc, {"x", "y"})
 
@@ -151,9 +151,9 @@ def test_section_leq(sp_ind2):
     low = lg.loc(sp_ind2, lg.wide_subgroupoid(g, g.objects))
     high = lg.loc(sp_ind2, full_wide(g, g.objects))
     for x in sp_ind2.points:
-        assert lg.germ_leq(low.germ(x), high.germ(x))
-        assert not lg.germ_leq(high.germ(x), low.germ(x))
-        assert lg.germ_leq(low.germ(x), low.germ(x))
+        assert lg.germ_leq(low.germs[x], high.germs[x])
+        assert not lg.germ_leq(high.germs[x], low.germs[x])
+        assert lg.germ_leq(low.germs[x], low.germs[x])
 
 
 def test_generated_from_atlas_matches_glob(a_nc, s_nc):

@@ -261,6 +261,12 @@ def test_generator_components_match_closure_on_atlas_sections(atlas):
          ("charts", "minimal"))
 
 
+@settings(max_examples=60, deadline=None)
+@given(atlases())
+def test_local_connectivity_traces_match_scan_on_atlas_sections(atlas):
+    walk("local-connectivity", _items(atlas), ("glob", "charts"))
+
+
 @settings(max_examples=40, deadline=None)
 @given(atlases())
 def test_refinement_fold_matches_product_twin_on_atlas_sections(atlas):
