@@ -23,10 +23,65 @@ from .spaces import blocks, label_key, sorted_labels
 MAX_REGIONS = 256
 
 
+class _Composites(dict):
+    """The composition table of an equivalence relation times a group,
+    filled on first lookup: (x, y, k1) then (y, z, k2) is (x, z, k1 k2).
+    A pair that is not composable raises KeyError, as a full table does.
+    The groupoid never changes, so a stored composite stays right, and
+    the memo never holds more than the full table would."""
+
+    def __init__(self, key: dict, aid: dict, mul: dict):
+        super().__init__()
+        self._key = key  # arrow id -> (x, y, k)
+        self._aid = aid  # (x, y, k) -> arrow id
+        self._mul = mul  # object -> multiplication table of its group
+        self._full = False
+
+    def __missing__(self, pair):
+        first, second = pair
+        key = self._key
+        if first not in key or second not in key:
+            raise KeyError(pair)
+        (x, y, k1), (w, z, k2) = key[first], key[second]
+        if y != w:
+            raise KeyError(pair)
+        c = self[pair] = self._aid[x, z, self._mul[x][k1, k2]]
+        return c
+
+    def fill(self) -> dict:
+        """Store every composite not stored yet, and return the table."""
+        if not self._full:
+            leaving = {}  # x -> the arrows leaving x
+            for a, (x, _, _) in self._key.items():
+                leaving.setdefault(x, []).append(a)
+            for first, (_, y, _) in self._key.items():
+                for second in leaving[y]:
+                    self[first, second]  # stored by __missing__ if new
+            self._full = True
+        return self
+
+    @cached_property
+    def loops(self) -> frozenset:
+        """The composites of loops, (x, x, k1) then (x, x, k2), as id
+        triples. Two built-in kinds with the same frame compose alike iff
+        their loops do. Only pair ids lack '#' and only bundle ids lack
+        ':', so arrows fix the kind, whose ids name x, y and the string of
+        k; k1 and k2 lie in the group over x's class. So the composite of
+        (x, y, k1) and (y, z, k2) is named by x, z and the string of
+        k1 k2, which the composite of the loops (x, x, k1) and (x, x, k2)
+        names too."""
+        aid = self._aid
+        return frozenset((aid[x, x, k1], aid[x, x, k2], aid[x, x, k])
+                         for x, mul in self._mul.items()
+                         for (k1, k2), k in mul.items())
+
+
 @dataclass(frozen=True, eq=False)
 class Groupoid:
     """Objects plus arrows with explicit identity, inverse and
-    composition tables. Values are immutable; equality is structural."""
+    composition tables. Values are immutable; equality is structural.
+    A built-in kind composes on first lookup, so `table` answers
+    subscripts only; `composites()` gives every composite."""
 
     objects: frozenset
     source: dict
@@ -64,6 +119,12 @@ class Groupoid:
         """first then second, when target[first] == source[second]."""
         return self.table[(first, second)]
 
+    def composites(self) -> dict:
+        """The whole composition table, completed first for a built-in
+        kind; the readers that need every composite go through here."""
+        table = self.table
+        return table.fill() if isinstance(table, _Composites) else table
+
     def non_identity_count(self) -> int:
         return len(self.arrow_ids - self.identity_ids)
 
@@ -82,23 +143,28 @@ class Groupoid:
         return found
 
     @cached_property
-    def _signature(self):
+    def _frame(self):
+        """Everything but the composites; equal groupoids share it."""
         return (self.objects,
                 frozenset(self.source.items()),
                 frozenset(self.target.items()),
                 frozenset(self.identity.items()),
-                frozenset(self.inverse.items()),
-                frozenset(self.table.items()))
+                frozenset(self.inverse.items()))
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Groupoid):
             return NotImplemented
-        return self._signature == other._signature
+        if self._frame != other._frame:
+            return False
+        mine, theirs = self.table, other.table
+        if isinstance(mine, _Composites) and isinstance(theirs, _Composites):
+            return mine.loops == theirs.loops
+        return self.composites() == other.composites()
 
     def __hash__(self):
-        return hash(self._signature)
+        return hash(self._frame)
 
 
 def _raise_least(message: str, witnesses) -> None:
@@ -115,6 +181,7 @@ def validate_groupoid(candidate: Groupoid) -> Groupoid:
     the first reported witness is deterministic.
     """
     g = candidate
+    table = g.composites()
     if set(g.source) != set(g.target):
         raise ValidationError("source and target must cover the same arrows")
     arrows = sorted(g.source, key=label_key)
@@ -139,7 +206,7 @@ def validate_groupoid(candidate: Groupoid) -> Groupoid:
         b = g.inverse.get(a)
         if b is None or b not in g.source:
             raise InverseLawError(f"arrow {a!r} has no inverse arrow")
-    for (a, b), c in sorted(g.table.items(),
+    for (a, b), c in sorted(table.items(),
                             key=lambda kv: (label_key(kv[0][0]), label_key(kv[0][1]))):
         if a not in g.source or b not in g.source or c not in g.source:
             raise ValidationError(
@@ -156,23 +223,23 @@ def validate_groupoid(candidate: Groupoid) -> Groupoid:
         leaving[g.source[a]].append(a)
     for a in arrows:
         for b in leaving[g.target[a]]:
-            if (a, b) not in g.table:
+            if (a, b) not in table:
                 raise ValidationError(
                     f"composition missing for composable pair ({a!r}, {b!r})")
     for a in arrows:
         x, y = g.source[a], g.target[a]
-        if g.table[(g.identity[x], a)] != a or g.table[(a, g.identity[y])] != a:
+        if table[(g.identity[x], a)] != a or table[(a, g.identity[y])] != a:
             raise ValidationError(f"identity law fails at arrow {a!r}")
     for a in arrows:
         b = g.inverse[a]
-        if (g.table[(a, b)] != g.identity[g.source[a]]
-                or g.table[(b, a)] != g.identity[g.target[a]]):
+        if (table[(a, b)] != g.identity[g.source[a]]
+                or table[(b, a)] != g.identity[g.target[a]]):
             raise InverseLawError(f"inverse law fails at arrow {a!r}")
     for a in arrows:
         for b in leaving[g.target[a]]:
-            ab = g.table[(a, b)]
+            ab = table[(a, b)]
             for c in leaving[g.target[b]]:
-                if g.table[(ab, c)] != g.table[(a, g.table[(b, c)])]:
+                if table[(ab, c)] != table[(a, table[(b, c)])]:
                     raise AssociativityError(
                         f"associativity fails on triple ({a!r}, {b!r}, {c!r})",
                         triple=(a, b, c))
@@ -263,7 +330,7 @@ def full_restriction(g: Groupoid, region) -> Groupoid:
         target={a: g.target[a] for a in keep},
         identity={x: g.identity[x] for x in reg},
         inverse={a: g.inverse[a] for a in keep},
-        table={pair: c for pair, c in g.table.items()
+        table={pair: c for pair, c in g.composites().items()
                if pair[0] in keep and pair[1] in keep},
     )
 
@@ -436,28 +503,26 @@ def _tabulate(pairs, group_at, name) -> Groupoid:
     points it relates: an arrow name(x, y, k) for each pair (x, y) and
     each k in group_at(x), which must be the group over all of x's class.
     (x, y, k1) then (y, z, k2) is (x, z, k1 k2); the identity of x is
-    (x, x, unit) and the inverse of (x, y, k) is (y, x, k^-1).
+    (x, x, unit) and the inverse of (x, y, k) is (y, x, k^-1). The
+    composites are worked out on first lookup, by `_Composites`.
 
     No law needs a check. The relation is reflexive, symmetric and
     transitive, so identities, inverses and composites are arrows with
-    the right ends, and every composable pair is tabulated. The laws
-    hold in the first component, where (x, z) is the one pair from x to
-    z, and in the second, which `finite_group` has validated. The
-    callers' label checks keep the names distinct."""
-    aid = {(x, y, k): name(x, y, k)
+    the right ends, and every composable pair composes. The laws hold in
+    the first component, where (x, z) is the one pair from x to z, and
+    in the second, which `finite_group` has validated. The callers'
+    label checks keep the names distinct."""
+    key = {name(x, y, k): (x, y, k)
            for x, y in pairs for k in group_at(x).elements}
-    leaving = {}  # x -> ((y, k), id) for each arrow (x, y, k) leaving x
-    for (x, y, k), a in aid.items():
-        leaving.setdefault(x, []).append(((y, k), a))
-    source, target, inverse, table = {}, {}, {}, {}
-    for (x, y, k1), first in aid.items():
-        grp = group_at(x)
-        source[first], target[first] = x, y
-        inverse[first] = aid[y, x, grp.inv[k1]]
-        for (z, k2), second in leaving[y]:
-            table[first, second] = aid[x, z, grp.mul[k1, k2]]
-    identity = {x: aid[x, x, group_at(x).unit] for x in leaving}
-    return Groupoid(frozenset(leaving), source, target, identity, inverse,
+    aid = {xyk: a for a, xyk in key.items()}
+    groups = {x: group_at(x) for x, _ in pairs}
+    source, target, inverse = {}, {}, {}
+    for a, (x, y, k) in key.items():
+        source[a], target[a] = x, y
+        inverse[a] = aid[y, x, groups[x].inv[k]]
+    identity = {x: aid[x, x, grp.unit] for x, grp in groups.items()}
+    table = _Composites(key, aid, {x: grp.mul for x, grp in groups.items()})
+    return Groupoid(frozenset(groups), source, target, identity, inverse,
                     table)
 
 

@@ -205,7 +205,7 @@ def _serialize_groupoid(g: Groupoid) -> dict:
     arrows = [{"id": a, "src": g.source[a], "tgt": g.target[a]}
               for a in sorted(g.source, key=label_key)]
     compose = [[a, b, c] for (a, b), c in sorted(
-        g.table.items(),
+        g.composites().items(),
         key=lambda kv: (label_key(kv[0][0]), label_key(kv[0][1])))]
     return {"kind": "explicit",
             "arrows": arrows,

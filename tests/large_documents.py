@@ -1,4 +1,4 @@
-"""Three large instance documents whose CLI outputs are pinned by digest.
+"""Four large instance documents, three with CLI outputs pinned by digest.
 
 Each has the pair groupoid and a subgroupoid that holds every pair
 arrow within each of its components:
@@ -13,10 +13,14 @@ arrow within each of its components:
   {p, q, r} and the component {p, q}: 6,655 opens. m(x) splits
   {a, b}, which {a, b, c, x} joins up through c, so every x needs the
   local-connectivity search past its minimal neighbourhood; no open
-  joins p and q, so r has no neighbourhood.
+  joins p and q, so r has no neighbourhood;
+- `chain128`: the 128-point chain with the same blocks. Its foliation
+  has more than 2^16 opens, so `analyze` and `verify` exit 3 once the
+  pair groupoid on 128 points is built and the foliation is listed.
 
-Their `analyze` and `verify --format json` outputs run to megabytes,
-so `test_golden.py` pins their sha256 digests instead of the bytes.
+The first three have `analyze` and `verify --format json` outputs of
+megabytes, so `test_golden.py` pins their sha256 digests instead of the
+bytes; it pins the exit of `chain128`.
 
     python tests/large_documents.py DIR
 
@@ -54,6 +58,12 @@ def chain20() -> dict:
                      _blocks(points))
 
 
+def chain128() -> dict:
+    points = _points(128)
+    return _document(points, [points[:i + 1] for i in range(128)],
+                     _blocks(points))
+
+
 def rescue18() -> dict:
     points, components = ["p", "q", "r"], [["p", "q"]]
     basis = [["p"], ["q"], ["p", "q", "r"]]
@@ -66,7 +76,7 @@ def rescue18() -> dict:
 
 
 DOCUMENTS = {"discrete16": discrete16, "chain20": chain20,
-             "rescue18": rescue18}
+             "rescue18": rescue18, "chain128": chain128}
 
 
 def write_documents(directory) -> dict:

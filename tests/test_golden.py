@@ -12,9 +12,10 @@ deliberate output change regenerates them with
 
 and says so in CHANGES.md.
 
-The three large documents of `large_documents.py` have outputs of up
-to 12 MB, too large to commit, so their `--format json` stdout is pinned
-as a sha256 digest instead.
+Three large documents of `large_documents.py` have outputs of up to
+12 MB, too large to commit, so their `--format json` stdout is pinned as
+a sha256 digest instead. The fourth, `chain128`, is pinned by its exit
+on the open-set bound.
 """
 
 import contextlib
@@ -106,6 +107,17 @@ def test_large_document_output_matches_its_digest(command, name,
     assert (run["exit_code"], run["stderr"]) == (0, "")
     digest = hashlib.sha256(run["stdout"].encode("utf-8")).hexdigest()
     assert digest == LARGE_DIGESTS[command, name]
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_chain128_stops_at_the_open_set_bound(command, large_paths):
+    # the 128 points, in 32 blocks of 4, build the pair groupoid on 128
+    # points before the foliation's opens pass spaces.MAX_OPENS
+    run = capture([command, "--input", large_paths["chain128"],
+                   "--format", "json"])
+    assert (run["exit_code"], run["stdout"], run["stderr"]) == (
+        3, "", "error[resource-limit]: more than 65536 open sets, "
+               "too many to list\n")
 
 
 if __name__ == "__main__":

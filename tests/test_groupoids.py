@@ -25,7 +25,7 @@ def _perturbed_pair(points=("1", "2"), **overrides):
     g = lg.pair_groupoid(set(points))
     parts = {"objects": g.objects, "source": dict(g.source),
              "target": dict(g.target), "identity": dict(g.identity),
-             "inverse": dict(g.inverse), "table": dict(g.table)}
+             "inverse": dict(g.inverse), "table": dict(g.composites())}
     parts.update(overrides)
     return lg.Groupoid(**parts)
 
@@ -48,7 +48,7 @@ def test_validate_missing_identity():
 
 def test_validate_endpoint_redirect():
     g = lg.pair_groupoid({"1", "2"})
-    table = dict(g.table)
+    table = dict(g.composites())
     table[("1:2", "2:1")] = "2:2"
     with pytest.raises(EndpointMismatchError, match="should run"):
         lg.validate_groupoid(_perturbed_pair(table=table))
@@ -64,7 +64,7 @@ def test_validate_inverse_law():
 
 def test_validate_missing_composable_entry():
     g = lg.pair_groupoid({"1", "2"})
-    table = dict(g.table)
+    table = dict(g.composites())
     del table[("1:2", "2:1")]
     with pytest.raises(ValidationError, match="missing"):
         lg.validate_groupoid(_perturbed_pair(table=table))
@@ -72,7 +72,7 @@ def test_validate_missing_composable_entry():
 
 def test_validate_names_the_least_missing_composable_pair():
     g = lg.pair_groupoid({"1", "2", "3"})
-    table = dict(g.table)
+    table = dict(g.composites())
     for pair in (("3:1", "1:2"), ("2:3", "3:2"), ("2:3", "3:1")):
         del table[pair]
     # arrows listed against the sorted order: the scan order is the sort's
@@ -402,10 +402,23 @@ TWIN_GROUPS = {"Z1": lg.cyclic_group(1), "Z2": lg.cyclic_group(2),
                "Z3": lg.cyclic_group(3), "S3": _s3()}
 
 
+def _pair_id(x, y, k):
+    return f"{x}:{y}"
+
+
+def _bundle_id(x, y, k):
+    return f"{x}#{k}"
+
+
+def _rel_id(x, y, k):
+    return f"{x}:{y}#{k}"
+
+
 def _twin_cases():
-    """(case id, groupoid, relation pairs, group over each point, arrow
-    id of (x, y, k)) for the built-in kinds on 1 to 5 points, with the id
-    formats the kinds document: p:q, p#k and x:y#k."""
+    """(case id, builder of the groupoid, relation pairs, group over each
+    point, arrow id of (x, y, k)) for the built-in kinds on 1 to 5
+    points, with the id formats the kinds document: p:q, p#k and x:y#k.
+    Each test builds its groupoid afresh, with nothing composed yet."""
     trivial = TWIN_GROUPS["Z1"]
     for n in range(1, 6):
         points = [str(i) for i in range(1, n + 1)]
@@ -413,28 +426,50 @@ def _twin_cases():
         diagonal = [(x, x) for x in points]
         parity = [(x, y) for x, y in full if int(x) % 2 == int(y) % 2]
         on_trivial = dict.fromkeys(points, trivial)
-        yield (f"pair-{n}", lg.pair_groupoid(points), full, on_trivial,
-               lambda x, y, k: f"{x}:{y}")
+        yield (f"pair-{n}", lambda p=points: lg.pair_groupoid(p), full,
+               on_trivial, _pair_id)
         pg = lg.pair_groupoid(points)
         # the discrete groupoid: the diagonal relation times Z/1
+        diag_rel = lg.wide_subgroupoid(pg, points)
         yield (f"identity-{n}",
-               lg.rel_times_group(lg.wide_subgroupoid(pg, points), trivial),
-               diagonal, on_trivial, lambda x, y, k: f"{x}:{y}#{k}")
+               lambda r=diag_rel: lg.rel_times_group(r, trivial),
+               diagonal, on_trivial, _rel_id)
         groups = list(TWIN_GROUPS.values())
         mixed = {x: groups[i % len(groups)] for i, x in enumerate(points)}
         for name, fibers in [*((g, dict.fromkeys(points, grp))
                                for g, grp in TWIN_GROUPS.items()),
                              ("mixed", mixed)]:
-            yield (f"bundle-{name}-{n}", lg.group_bundle(points, fibers),
-                   diagonal, fibers, lambda x, y, k: f"{x}#{k}")
+            yield (f"bundle-{name}-{n}",
+                   lambda p=points, f=fibers: lg.group_bundle(p, f),
+                   diagonal, fibers, _bundle_id)
         for rel_name, pairs in (("full", full), ("parity", parity)):
             relation = lg.wide_subgroupoid(
                 pg, points, [f"{x}:{y}" for x, y in pairs])
             for name, grp in TWIN_GROUPS.items():
                 yield (f"rel-{rel_name}-{name}-{n}",
-                       lg.rel_times_group(relation, grp), pairs,
-                       dict.fromkeys(points, grp),
-                       lambda x, y, k: f"{x}:{y}#{k}")
+                       lambda r=relation, h=grp: lg.rel_times_group(r, h),
+                       pairs, dict.fromkeys(points, grp), _rel_id)
+
+
+def _definition(pairs, group_at, name) -> dict:
+    """arrow id -> (x, y, k), for every k in the group over x."""
+    return {name(x, y, k): (x, y, k)
+            for x, y in pairs for k in group_at[x].elements}
+
+
+def _defined_composite(arrows, group_at, name, a, b):
+    """The composite of a then b by the definition, or None when the
+    pair is not composable."""
+    (x, y, k1), (w, z, k2) = arrows[a], arrows[b]
+    return name(x, z, group_at[x].mul[k1, k2]) if y == w else None
+
+
+def _looked_up(table, pair):
+    """table[pair], or None where the lookup raises KeyError."""
+    try:
+        return table[pair]
+    except KeyError:
+        return None
 
 
 @pytest.mark.parametrize("case", list(_twin_cases()), ids=lambda c: c[0])
@@ -442,10 +477,20 @@ def test_built_in_kinds_match_their_definitions(case):
     # a twin of the shared table builder, written from the definition of
     # a relation times a group: (x, y, k1) then (y, z, k2) is
     # (x, z, k1 k2), and the non-abelian S3 fixes the order of the product
-    _, g, pairs, group_at, name = case
+    _, build, pairs, group_at, name = case
+    g = build()
+    arrows = _definition(pairs, group_at, name)
+    # lookups first, on the fresh table: each composite is worked out on
+    # demand, and a pair that is not composable raises KeyError
+    assert len(g.table) == 0
+    for a in sorted(arrows):
+        for b in sorted(arrows):
+            assert (_looked_up(g.table, (a, b))
+                    == _defined_composite(arrows, group_at, name, a, b))
+    composable = {(a, b) for a in arrows for b in arrows
+                  if arrows[a][1] == arrows[b][0]}
+    assert set(g.composites()) == composable
     lg.validate_groupoid(g)
-    arrows = {name(x, y, k): (x, y, k)
-              for x, y in pairs for k in group_at[x].elements}
     assert g.arrow_ids == set(arrows)
     assert g.objects == {x for x, _ in pairs}
     for a, (x, y, k) in arrows.items():
@@ -454,12 +499,116 @@ def test_built_in_kinds_match_their_definitions(case):
         assert g.inverse[a] == name(y, x, grp.inv[k])
         if x == y and k == grp.unit:
             assert g.identity[x] == a
-    composable = {(a, b) for a in arrows for b in arrows
-                  if arrows[a][1] == arrows[b][0]}
-    assert set(g.table) == composable
-    for a, b in composable:
-        (x, _, k1), (_, z, k2) = arrows[a], arrows[b]
-        assert g.table[a, b] == name(x, z, group_at[x].mul[k1, k2])
+
+
+FIBRES = [lg.cyclic_group(n) for n in range(1, 5)] + [TWIN_GROUPS["S3"]]
+
+
+@st.composite
+def built_in_kinds(draw):
+    """A random relation times a group, as (builder, relation pairs,
+    group over each point, arrow id of (x, y, k)): the pair groupoid on
+    1 to 5 points, a bundle of Z/1 to Z/4 and S3 fibres, or a random
+    equivalence relation times one of those groups."""
+    points = [str(i) for i in range(1, draw(st.integers(1, 5)) + 1)]
+    kind = draw(st.sampled_from(["pair", "bundle", "rel"]))
+    if kind == "pair":
+        return (lambda: lg.pair_groupoid(points),
+                [(x, y) for x in points for y in points],
+                dict.fromkeys(points, TWIN_GROUPS["Z1"]), _pair_id)
+    if kind == "bundle":
+        fibers = {x: draw(st.sampled_from(FIBRES)) for x in points}
+        return (lambda: lg.group_bundle(points, fibers),
+                [(x, x) for x in points], fibers, _bundle_id)
+    block = {x: draw(st.integers(0, len(points) - 1)) for x in points}
+    pairs = [(x, y) for x in points for y in points if block[x] == block[y]]
+    grp = draw(st.sampled_from(FIBRES))
+    relation = lg.wide_subgroupoid(lg.pair_groupoid(points), points,
+                                   [f"{x}:{y}" for x, y in pairs])
+    return (lambda: lg.rel_times_group(relation, grp), pairs,
+            dict.fromkeys(points, grp), _rel_id)
+
+
+def _explicit_twin(g):
+    """g through the document round trip, with a plain composition dict."""
+    space = lg.space_from_basis(g.objects, [{x} for x in g.objects])
+    doc = lg.serialize_instance(lg.ParsedInstance(space, g, None, None))
+    twin = lg.parse_instance(doc).groupoid
+    assert type(twin.table) is dict
+    return twin
+
+
+@settings(max_examples=80, deadline=None)
+@given(built_in_kinds(), st.randoms(use_true_random=False))
+def test_lookups_in_any_order_match_the_definition(case, rnd):
+    build, pairs, group_at, name = case
+    arrows = _definition(pairs, group_at, name)
+    ids = sorted(arrows)
+    leaving = {x: [b for b in ids if arrows[b][0] == x] for x, _ in pairs}
+    explicit = _explicit_twin(build())
+    g, fresh = build(), build()
+    for _ in range(rnd.randrange(3 * len(ids))):
+        a = rnd.choice(ids)
+        # mostly composable pairs, some that are not
+        b = rnd.choice(leaving[arrows[a][1]] if rnd.random() < 0.7 else ids)
+        assert (_looked_up(g.table, (a, b))
+                == _defined_composite(arrows, group_at, name, a, b))
+    # equality and hash read no composite of either built-in kind ...
+    stored = len(g.table)
+    assert g == fresh and fresh == g and hash(g) == hash(fresh)
+    assert (len(g.table), len(fresh.table)) == (stored, 0)
+    # ... and agree with the explicit twin whatever was looked up
+    assert g == explicit and explicit == g and hash(g) == hash(explicit)
+    assert fresh == explicit and hash(fresh) == hash(explicit)
+
+
+def _relabelled_cyclic(order, image):
+    """Z/order on the labels image[0], ..., image[order - 1]."""
+    els = [image[k] for k in range(order)]
+    mul = {(image[a], image[b]): image[(a + b) % order]
+           for a in range(order) for b in range(order)}
+    return lg.finite_group(els, image[0], mul)
+
+
+def test_built_in_equality_is_exact_without_composing():
+    points = ["1", "2"]
+    z5 = lg.group_bundle(points, dict.fromkeys(points, lg.cyclic_group(5)))
+    # 1 <-> 2 and 3 <-> 4 keeps each inverse but is no automorphism, so
+    # the relabelled bundle has z5's arrows, ends, identities and
+    # inverses and composes differently: 1#1 then 1#1 is 1#3, not 1#2
+    swapped = lg.group_bundle(points, dict.fromkeys(
+        points, _relabelled_cyclic(5, [0, 2, 1, 4, 3])))
+    assert z5._frame == swapped._frame
+    assert z5 != swapped and swapped != z5
+    assert (len(z5.table), len(swapped.table)) == (0, 0)
+    assert swapped.compose("1#1", "1#1") == "1#3"
+    assert z5 != _explicit_twin(swapped) and _explicit_twin(z5) != swapped
+    # element labels 0, 1, 2 and "0", "1", "2" name the same arrows, so
+    # the two bundles are equal, as their explicit twins are
+    by_int = lg.group_bundle(points, dict.fromkeys(points,
+                                                   lg.cyclic_group(3)))
+    by_str = lg.group_bundle(points, dict.fromkeys(
+        points, _relabelled_cyclic(3, ["0", "1", "2"])))
+    assert by_int == by_str and hash(by_int) == hash(by_str)
+    assert (len(by_int.table), len(by_str.table)) == (0, 0)
+    assert _explicit_twin(by_int) == _explicit_twin(by_str)
+
+
+def test_rel_times_group_over_64_points_stores_few_composites():
+    # the pair groupoid on 64 points has 64^3 composable pairs; the
+    # relation's closure check and rel_times_group's check that the
+    # relation lies in a pair groupoid store only what they look up
+    points = [f"p{i:02d}" for i in range(64)]
+    pg = lg.pair_groupoid(points)
+    relation = lg.wide_subgroupoid(
+        pg, points, [f"{x}:{y}" for i in range(0, 64, 4)
+                     for x in points[i:i + 4] for y in points[i:i + 4]])
+    checked = len(pg.table)  # the closure check of the relation
+    assert checked <= 64 * 4 * 4
+    g = lg.rel_times_group(relation, lg.cyclic_group(2))
+    assert len(pg.table) == checked and len(g.table) == 0
+    assert g.compose("p00:p01#1", "p01:p03#1") == "p00:p03#0"
+    assert len(g.table) == 1 < 64 ** 3
 
 
 def test_wide_subgroupoid_names_unknown_base_objects():
