@@ -60,21 +60,6 @@ class _Composites(dict):
             self._full = True
         return self
 
-    @cached_property
-    def loops(self) -> frozenset:
-        """The composites of loops, (x, x, k1) then (x, x, k2), as id
-        triples. Two built-in kinds with the same frame compose alike iff
-        their loops do. Only pair ids lack '#' and only bundle ids lack
-        ':', so arrows fix the kind, whose ids name x, y and the string of
-        k; k1 and k2 lie in the group over x's class. So the composite of
-        (x, y, k1) and (y, z, k2) is named by x, z and the string of
-        k1 k2, which the composite of the loops (x, x, k1) and (x, x, k2)
-        names too."""
-        aid = self._aid
-        return frozenset((aid[x, x, k1], aid[x, x, k2], aid[x, x, k])
-                         for x, mul in self._mul.items()
-                         for (k1, k2), k in mul.items())
-
 
 @dataclass(frozen=True, eq=False)
 class Groupoid:
@@ -142,29 +127,19 @@ class Groupoid:
                 if x in reg and target[a] in reg)
         return found
 
-    @cached_property
-    def _frame(self):
-        """Everything but the composites; equal groupoids share it."""
-        return (self.objects,
-                frozenset(self.source.items()),
-                frozenset(self.target.items()),
-                frozenset(self.identity.items()),
-                frozenset(self.inverse.items()))
-
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Groupoid):
             return NotImplemented
-        if self._frame != other._frame:
-            return False
-        mine, theirs = self.table, other.table
-        if isinstance(mine, _Composites) and isinstance(theirs, _Composites):
-            return mine.loops == theirs.loops
-        return self.composites() == other.composites()
+        return ((self.objects, self.source, self.target, self.identity,
+                 self.inverse)
+                == (other.objects, other.source, other.target,
+                    other.identity, other.inverse)
+                and self.composites() == other.composites())
 
     def __hash__(self):
-        return hash(self._frame)
+        return hash(self.objects)
 
 
 def _raise_least(message: str, witnesses) -> None:
@@ -301,9 +276,8 @@ class WideSubgroupoid:
             return True
         if not isinstance(other, WideSubgroupoid):
             return NotImplemented
-        if self.base != other.base or self.arrows != other.arrows:
-            return False
-        return self.parent is other.parent or self.parent == other.parent
+        return (self.base == other.base and self.arrows == other.arrows
+                and self.parent == other.parent)
 
     def __hash__(self):
         return hash((self.base, self.arrows))
@@ -330,8 +304,8 @@ def full_restriction(g: Groupoid, region) -> Groupoid:
         target={a: g.target[a] for a in keep},
         identity={x: g.identity[x] for x in reg},
         inverse={a: g.inverse[a] for a in keep},
-        table={pair: c for pair, c in g.composites().items()
-               if pair[0] in keep and pair[1] in keep},
+        table={(a, b): g.table[a, b] for a in keep for b in keep
+               if g.target[a] == g.source[b]},
     )
 
 
@@ -551,12 +525,16 @@ def group_bundle(points, fibers) -> Groupoid:
 
 def rel_times_group(relation: WideSubgroupoid, group: FiniteGroup) -> Groupoid:
     """Pairs (relation arrow, group element) with componentwise
-    composition: compose((x:y, k1), (y:z, k2)) = (x:z, k1 k2). The
-    relation must be an equivalence relation, which is exactly a wide
-    subgroupoid of a pair groupoid. Arrow ids are x:y#k."""
-    pg = relation.parent
-    if pg != pair_groupoid(pg.objects):
-        raise ValidationError(
-            "relation must be a wide subgroupoid of a pair groupoid")
-    return _tabulate([(pg.source[a], pg.target[a]) for a in relation.arrows],
-                     lambda x: group, lambda x, y, k: f"{x}:{y}#{k}")
+    composition: compose((x:y, k1), (y:z, k2)) = (x:z, k1 k2). Arrow ids
+    are x:y#k. The relation needs one arrow per pair of ends, and those
+    pairs lie inside the union of B x B over the blocks B they link: so
+    they form the equivalence relation `_tabulate` needs exactly when
+    they are all of it."""
+    source, target = relation.parent.source, relation.parent.target
+    ends = [(source[a], target[a]) for a in relation.arrows]
+    pairs = set(ends)
+    if len(pairs) != len(ends) or len(pairs) != sum(
+            len(c) ** 2 for c in blocks(relation.base, pairs)):
+        raise ValidationError("relation must be an equivalence relation "
+                              "with one arrow per related pair")
+    return _tabulate(ends, lambda x: group, lambda x, y, k: f"{x}:{y}#{k}")

@@ -142,7 +142,7 @@ class LocalSubgroupoid:
             if at != x:
                 raise ValidationError(
                     f"germ stored at {x!r} claims to live at {at!r}")
-            if not (rep.parent is self.parent or rep.parent == self.parent):
+            if rep.parent != self.parent:
                 raise ValidationError(
                     f"germ at {x!r} lives in a different ambient groupoid")
             if rep.base != self.space.minimal_open(x):

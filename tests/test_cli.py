@@ -593,6 +593,34 @@ def test_oracle_check_exits_4_on_a_disagreement(monkeypatch, capsys, name):
     assert captured.err == line + "\n"
 
 
+def test_cli_neither_compares_distinct_groupoids_nor_fills_a_table(
+        monkeypatch, capsys):
+    # comparing two distinct built-in groupoids completes both tables,
+    # so no command may make such a comparison or complete one otherwise
+    distinct, fills = [], []
+    eq, fill = lg.Groupoid.__eq__, lg.groupoids._Composites.fill
+
+    def counted_eq(self, other):
+        if self is not other:
+            distinct.append((self, other))
+        return eq(self, other)
+
+    def counted_fill(self):
+        fills.append(self)
+        return fill(self)
+    monkeypatch.setattr(lg.Groupoid, "__eq__", counted_eq)
+    monkeypatch.setattr(lg.groupoids._Composites, "fill", counted_fill)
+    runs = [[command, "--input", str(path), "--format", "json"]
+            for path in sorted(FIXTURE_DIR.glob("*.json"))
+            for command in ("analyze", "verify", "oracle-check")]
+    runs += [[command, "--suite", "3,6", "--format", "json"]
+             for command in ("verify", "oracle-check")]
+    for argv in runs:
+        main(argv)
+        capsys.readouterr()
+    assert (len(distinct), len(fills)) == (0, 0)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "locglob", "analyze", "--input",

@@ -553,11 +553,9 @@ def test_lookups_in_any_order_match_the_definition(case, rnd):
         b = rnd.choice(leaving[arrows[a][1]] if rnd.random() < 0.7 else ids)
         assert (_looked_up(g.table, (a, b))
                 == _defined_composite(arrows, group_at, name, a, b))
-    # equality and hash read no composite of either built-in kind ...
-    stored = len(g.table)
+    # equality and hash agree with a fresh build and with the explicit
+    # twin whatever was looked up
     assert g == fresh and fresh == g and hash(g) == hash(fresh)
-    assert (len(g.table), len(fresh.table)) == (stored, 0)
-    # ... and agree with the explicit twin whatever was looked up
     assert g == explicit and explicit == g and hash(g) == hash(explicit)
     assert fresh == explicit and hash(fresh) == hash(explicit)
 
@@ -570,7 +568,11 @@ def _relabelled_cyclic(order, image):
     return lg.finite_group(els, image[0], mul)
 
 
-def test_built_in_equality_is_exact_without_composing():
+def _fields(g):
+    return g.objects, g.source, g.target, g.identity, g.inverse
+
+
+def test_built_in_equality_is_exact():
     points = ["1", "2"]
     z5 = lg.group_bundle(points, dict.fromkeys(points, lg.cyclic_group(5)))
     # 1 <-> 2 and 3 <-> 4 keeps each inverse but is no automorphism, so
@@ -578,9 +580,8 @@ def test_built_in_equality_is_exact_without_composing():
     # inverses and composes differently: 1#1 then 1#1 is 1#3, not 1#2
     swapped = lg.group_bundle(points, dict.fromkeys(
         points, _relabelled_cyclic(5, [0, 2, 1, 4, 3])))
-    assert z5._frame == swapped._frame
+    assert _fields(z5) == _fields(swapped)
     assert z5 != swapped and swapped != z5
-    assert (len(z5.table), len(swapped.table)) == (0, 0)
     assert swapped.compose("1#1", "1#1") == "1#3"
     assert z5 != _explicit_twin(swapped) and _explicit_twin(z5) != swapped
     # element labels 0, 1, 2 and "0", "1", "2" name the same arrows, so
@@ -590,14 +591,13 @@ def test_built_in_equality_is_exact_without_composing():
     by_str = lg.group_bundle(points, dict.fromkeys(
         points, _relabelled_cyclic(3, ["0", "1", "2"])))
     assert by_int == by_str and hash(by_int) == hash(by_str)
-    assert (len(by_int.table), len(by_str.table)) == (0, 0)
     assert _explicit_twin(by_int) == _explicit_twin(by_str)
 
 
 def test_rel_times_group_over_64_points_stores_few_composites():
     # the pair groupoid on 64 points has 64^3 composable pairs; the
-    # relation's closure check and rel_times_group's check that the
-    # relation lies in a pair groupoid store only what they look up
+    # relation's closure check stores only what it looks up, and
+    # rel_times_group reads the relation's ends and composes nothing
     points = [f"p{i:02d}" for i in range(64)]
     pg = lg.pair_groupoid(points)
     relation = lg.wide_subgroupoid(
@@ -609,6 +609,46 @@ def test_rel_times_group_over_64_points_stores_few_composites():
     assert len(pg.table) == checked and len(g.table) == 0
     assert g.compose("p00:p01#1", "p01:p03#1") == "p00:p03#0"
     assert len(g.table) == 1 < 64 ** 3
+
+
+def test_full_restriction_looks_up_only_the_composites_inside():
+    points = [f"p{i:02d}" for i in range(64)]
+    g = lg.pair_groupoid(points)
+    small = lg.full_restriction(g, points[:4])
+    assert small == lg.pair_groupoid(points[:4])
+    stored = len(g.table)
+    assert stored <= 4 ** 3 < 64 ** 3
+
+
+def test_rel_times_group_builds_no_pair_groupoid(monkeypatch):
+    pg = lg.pair_groupoid({"1", "2", "3"})
+    relation = lg.generate_wide(pg, pg.objects, {"1:2"})
+
+    def refused(points):
+        raise AssertionError("rel_times_group built a pair groupoid")
+    monkeypatch.setattr(lg.groupoids, "pair_groupoid", refused)
+    g = lg.rel_times_group(relation, lg.cyclic_group(2))
+    assert len(g.arrow_ids) == 10
+
+
+def test_rel_times_group_rejects_a_relation_that_is_not_symmetric():
+    # the identities and 1:2 without 2:1: one arrow per pair, but the
+    # pairs are not all of the block {1, 2}
+    pg = lg.pair_groupoid({"1", "2"})
+    lopsided = lg.WideSubgroupoid._trusted(
+        pg, pg.objects, pg.identity_ids | {"1:2"})
+    with pytest.raises(ValidationError, match="equivalence relation"):
+        lg.rel_times_group(lopsided, lg.cyclic_group(2))
+
+
+def test_rel_times_group_accepts_any_parent_with_one_arrow_per_pair():
+    points = {"1", "2", "3"}
+    bundle = lg.group_bundle(points, dict.fromkeys(points,
+                                                   lg.cyclic_group(3)))
+    z2 = lg.cyclic_group(2)
+    diagonal = lg.wide_subgroupoid(lg.pair_groupoid(points), points)
+    assert (lg.rel_times_group(lg.wide_subgroupoid(bundle, points), z2)
+            == lg.rel_times_group(diagonal, z2))
 
 
 def test_wide_subgroupoid_names_unknown_base_objects():
