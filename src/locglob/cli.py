@@ -158,7 +158,9 @@ def cmd_analyze(parsed: ParsedInstance) -> dict:
     return doc
 
 
-def _theorem_reports(space, section, atlas, wide) -> list:
+def _theorem_reports(space, section, atlas, wide, globalised=None) -> list:
+    """The seven checker reports; `globalised`, if given, is
+    glob(section), which the restriction checker then reuses."""
     cover = _minimal_cover(space)
     reports = [
         verify_component_clopenness(loc(space, wide), wide, cover),
@@ -166,16 +168,18 @@ def _theorem_reports(space, section, atlas, wide) -> list:
     ]
     reports.extend(verify_connectivity_globalization(space, wide))
     reports.append(verify_foliation_components(section, atlas))
-    reports.extend(verify_restriction_coherence(section, cover))
+    reports.extend(verify_restriction_coherence(section, cover,
+                                                globalised=globalised))
     return reports
 
 
 def cmd_verify_instance(parsed: ParsedInstance) -> dict:
     section, atlas = _section_source(parsed)
-    wide = parsed.subgroupoid
+    wide, globalised = parsed.subgroupoid, None
     if wide is None:
-        wide = glob(section)
-    reports = _theorem_reports(parsed.space, section, atlas, wide)
+        wide = globalised = glob(section)
+    reports = _theorem_reports(parsed.space, section, atlas, wide,
+                               globalised)
     summary = {"pass": 0, "vacuous": 0, "counterexample": 0}
     for report in reports:
         summary[report.status] += 1
@@ -191,7 +195,8 @@ def cmd_verify_suite(max_points: int, max_extra_arrows: int) -> dict:
     for inst, section, atlas in suite.iter_sections():
         wide = cross_check_glob(section, atlas)
         sections += 1
-        for report in _theorem_reports(inst.space, section, atlas, wide):
+        for report in _theorem_reports(inst.space, section, atlas, wide,
+                                       wide):
             tally = theorems.setdefault(
                 report.theorem, {"pass": 0, "vacuous": 0, "counterexample": 0})
             tally[report.status] += 1

@@ -10,7 +10,9 @@ checked statements does fail, and the bundled fixtures pin that down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 from .errors import InvariantViolationError, ResourceLimitError, ValidationError
 from .groupoids import (WideSubgroupoid, _generated_components,
@@ -40,13 +42,15 @@ class CoherenceReport:
 
 @dataclass(frozen=True, eq=False)
 class TheoremReport:
-    """Outcome of one checker run on one instance."""
+    """Outcome of one checker run on one instance. `details` is built by
+    the zero-argument `build_details` on first read and then kept, so a
+    caller that reads only `status` builds none of it."""
 
     theorem: str
     hypothesis_holds: bool
     conclusion_holds: bool
     counterexample: dict | None
-    details: dict = field(default_factory=dict)
+    build_details: Callable[[], dict] = dict
 
     def __post_init__(self):
         expected = self.hypothesis_holds and not self.conclusion_holds
@@ -61,6 +65,10 @@ class TheoremReport:
             return "vacuous"
         return "pass" if self.conclusion_holds else "counterexample"
 
+    @cached_property
+    def details(self) -> dict:
+        return self.build_details()
+
     def as_dict(self) -> dict:
         return {
             "theorem": self.theorem,
@@ -72,9 +80,13 @@ class TheoremReport:
         }
 
 
-def coherence_report(section: LocalSubgroupoid) -> CoherenceReport:
+def coherence_report(section: LocalSubgroupoid, *,
+                     globalised=None) -> CoherenceReport:
+    """`globalised`, if given, must be glob(section): a caller that holds
+    it already saves closing the germs again."""
     # both germs live over m(x), where `germ_leq` is arrow-set inclusion
-    globalised = glob(section)
+    if globalised is None:
+        globalised = glob(section)
     coherent = True
     witnesses = []
     for x in sorted_labels(section.space.points):
@@ -131,12 +143,16 @@ def foliation_space(section: LocalSubgroupoid, atlas: Atlas) -> FiniteSpace:
     return generate_topology(section.space, extras)
 
 
+def _list_key(labels: list) -> tuple:
+    return len(labels), [*map(str, labels)]
+
+
 def _set_list(sets) -> list:
     """`[sorted_labels(s) for s in sorted_sets(sets)]`, sorting each set
     once: the stable sort on (size, labels as text) keeps ties in the
     order of `sets`, as `sorted_sets` does."""
     lists = [sorted_labels(s) for s in sets]
-    lists.sort(key=lambda labels: (len(labels), [*map(str, labels)]))
+    lists.sort(key=_list_key)
     return lists
 
 
@@ -184,8 +200,8 @@ def verify_component_clopenness(section: LocalSubgroupoid,
     components = _generated_components(parent, space.points, seed)
     return TheoremReport(
         "component-clopenness", True, True, None,
-        {"cover": _set_list(cover_sets),
-         "components_checked": len(components)})
+        lambda: {"cover": _set_list(cover_sets),
+                 "components_checked": len(components)})
 
 
 def _traces_connected(space: FiniteSpace, comps, w) -> bool:
@@ -222,16 +238,16 @@ def verify_local_connectivity_coherence(space: FiniteSpace,
             w = next((o for o in opens if x in o
                       and _traces_connected(space, comps, o)), None)
         found[x] = w
-    failed = [label_key(x) for x, w in found.items() if w is None]
-    details = {
-        "neighbourhoods": {label_key(x): sorted_labels(w)
-                           for x, w in found.items() if w is not None},
-        "points_without_neighbourhood": failed,
-    }
+
+    def details():
+        return {"neighbourhoods": {label_key(x): sorted_labels(w)
+                                   for x, w in found.items() if w is not None},
+                "points_without_neighbourhood":
+                    [label_key(x) for x, w in found.items() if w is None]}
     # the conclusion is the total-coherence lemma (see
     # `is_totally_coherent`): every section on a finite space is coherent
-    return TheoremReport("local-connectivity-coherence", not failed, True,
-                         None, details)
+    return TheoremReport("local-connectivity-coherence",
+                         None not in found.values(), True, None, details)
 
 
 def verify_connectivity_globalization(space: FiniteSpace,
@@ -267,12 +283,13 @@ def verify_connectivity_globalization(space: FiniteSpace,
     connected = _traces_connected(space, comps, space.points)
     closed = all(map(space.is_open, comps))
     equal = connected or subgroupoid_coherence(space, wide)[1]
-    details = {
+    # one dict for both reports, as they share their details
+    details = cache(lambda: {
         "components": _set_list(comps),
         "all_connected": connected,
         "all_closed": closed,
         "equals_globalisation": equal,
-    }
+    })
     forward = TheoremReport("connectivity-globalization-forward",
                             connected, equal, None, details)
     converse = TheoremReport("connectivity-globalization-converse",
@@ -330,31 +347,33 @@ def verify_foliation_components(section: LocalSubgroupoid,
     seed = set()
     for germ in section.germs.values():
         seed |= germ.rep.arrows
-    glob_comps = _set_list(_generated_components(
-        section.parent, section.space.points, seed))
+    glob_sets = _generated_components(
+        section.parent, section.space.points, seed)
     fol_sets = connected_components(foliated, foliated.points)
-    fol_comps = _set_list(fol_sets)
     counterexample = None
-    for labels in glob_comps:
+    if not glob_sets <= fol_sets:
+        # the first failing component and those meeting it, in `_set_list`
+        # order: `min` and the stable sort keep ties in iteration order
+        labels = min((sorted_labels(c) for c in glob_sets
+                      if c not in fol_sets), key=_list_key)
         comp = frozenset(labels)
-        if comp not in fol_sets:
-            counterexample = {
-                "transitivity_component": labels,
-                "foliation_components_meeting_it":
-                    [c for c in fol_comps if not comp.isdisjoint(c)],
-            }
-            break
-    details = {
-        "transitivity_components": glob_comps,
-        "foliation_components": fol_comps,
-        "foliation_opens": open_label_lists(foliated),
-    }
+        meeting = [sorted_labels(c) for c in fol_sets
+                   if not comp.isdisjoint(c)]
+        meeting.sort(key=_list_key)
+        counterexample = {"transitivity_component": labels,
+                          "foliation_components_meeting_it": meeting}
+
+    def details():
+        return {"transitivity_components": _set_list(glob_sets),
+                "foliation_components": _set_list(fol_sets),
+                "foliation_opens": open_label_lists(foliated)}
     return TheoremReport("foliation-components", True,
                          counterexample is None, counterexample, details)
 
 
 def verify_restriction_coherence(section: LocalSubgroupoid, cover,
-                                 max_opens: int | None = None):
+                                 max_opens: int | None = None, *,
+                                 globalised=None):
     """Two checked statements about restriction. First: a globally and
     totally coherent section stays globally coherent on every open set.
     Second: if the section is globally and totally coherent on each
@@ -381,10 +400,12 @@ def verify_restriction_coherence(section: LocalSubgroupoid, cover,
     if s is not globally coherent: if it is, so is each s|V by the first
     proof. The member-by-member scan is `oracle.cover_restrictions_by_scan`.
     A section that is not coherent breaks the same lemma, so it is a
-    germ or closure bug and raises `InvariantViolationError`."""
+    germ or closure bug and raises `InvariantViolationError`.
+    `globalised`, if given, must be glob(section), as for
+    `coherence_report`."""
     space = section.space
     cover_sets = _open_cover(space, cover)
-    report = coherence_report(section)
+    report = coherence_report(section, globalised=globalised)
     if not report.coherent:
         raise InvariantViolationError(
             "section is not coherent; germ canonicalisation is broken")
@@ -392,12 +413,13 @@ def verify_restriction_coherence(section: LocalSubgroupoid, cover,
     total = is_totally_coherent(section, max_opens)[0]
     conc1 = report.globally_coherent
     first = TheoremReport("restriction-global-coherence", conc1 and total,
-                          conc1, None, {"opens_checked": count_opens(space)})
+                          conc1, None,
+                          lambda: {"opens_checked": count_opens(space)})
 
     minimal = {space.minimal_open(x) for x in space.points}
     hyp2 = conc1 or all(
         coherence_report(restrict_section(section, v)).globally_coherent
         for v in cover_sets if v not in minimal)
     second = TheoremReport("restriction-total-coherence", hyp2, total, None,
-                           {"cover": _set_list(cover_sets)})
+                           lambda: {"cover": _set_list(cover_sets)})
     return first, second

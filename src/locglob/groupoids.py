@@ -15,12 +15,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (AssociativityError, EndpointMismatchError,
-                     InverseLawError, MissingIdentityError, ValidationError)
+                     InverseLawError, MissingIdentityError,
+                     ResourceLimitError, ValidationError)
 from .spaces import blocks, label_key, sorted_labels
 
 # regions whose arrow sets one groupoid keeps; past this many, each new
 # region evicts the oldest
 MAX_REGIONS = 256
+
+# arrows a built-in kind (pair, bundle, relation times group) may have;
+# the count is checked before any per-arrow structure is built
+MAX_BUILTIN_ARROWS = 1 << 20
 
 
 class _Composites(dict):
@@ -472,6 +477,13 @@ def cyclic_group(order: int) -> FiniteGroup:
 _TRIVIAL_GROUP = cyclic_group(1)
 
 
+def _check_arrow_count(count: int) -> None:
+    if count > MAX_BUILTIN_ARROWS:
+        raise ResourceLimitError(
+            f"{count} arrows exceeds the built-in groupoid bound of "
+            f"{MAX_BUILTIN_ARROWS}")
+
+
 def _tabulate(pairs, group_at, name) -> Groupoid:
     """An equivalence relation times a group over each class, on the
     points it relates: an arrow name(x, y, k) for each pair (x, y) and
@@ -506,6 +518,7 @@ def pair_groupoid(points) -> Groupoid:
     if not pts:
         raise ValidationError("pair groupoid needs at least one point")
     _check_printable_labels(pts, "point")
+    _check_arrow_count(len(pts) ** 2)
     return _tabulate([(p, q) for p in pts for q in pts],
                      lambda x: _TRIVIAL_GROUP, lambda p, q, k: f"{p}:{q}")
 
@@ -519,6 +532,7 @@ def group_bundle(points, fibers) -> Groupoid:
                  [(p,) for p in pts if p not in fibers])
     _raise_least("fiber keyed on unknown point {!r}",
                  [(p,) for p in fibers if p not in pts])
+    _check_arrow_count(sum(len(fibers[p].elements) for p in pts))
     return _tabulate([(p, p) for p in pts], fibers.__getitem__,
                      lambda p, q, k: f"{p}#{k}")
 
@@ -530,6 +544,7 @@ def rel_times_group(relation: WideSubgroupoid, group: FiniteGroup) -> Groupoid:
     pairs lie inside the union of B x B over the blocks B they link: so
     they form the equivalence relation `_tabulate` needs exactly when
     they are all of it."""
+    _check_arrow_count(len(relation.arrows) * len(group.elements))
     source, target = relation.parent.source, relation.parent.target
     ends = [(source[a], target[a]) for a in relation.arrows]
     pairs = set(ends)

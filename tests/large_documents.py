@@ -1,4 +1,4 @@
-"""Four large instance documents, three with CLI outputs pinned by digest.
+"""Five large instance documents, three with CLI outputs pinned by digest.
 
 Each has the pair groupoid and a subgroupoid that holds every pair
 arrow within each of its components:
@@ -16,11 +16,15 @@ arrow within each of its components:
   joins p and q, so r has no neighbourhood;
 - `chain128`: the 128-point chain with the same blocks. Its foliation
   has more than 2^16 opens, so `analyze` and `verify` exit 3 once the
-  pair groupoid on 128 points is built and the foliation is listed.
+  pair groupoid on 128 points is built and the foliation is listed;
+- `pair4096`: 4,096 points, an empty basis and a subgroupoid with no
+  arrows. Its pair groupoid would have 2^24 arrows, past
+  `groupoids.MAX_BUILTIN_ARROWS`, so `analyze` and `verify` exit 3
+  before building any of them.
 
 The first three have `analyze` and `verify --format json` outputs of
 megabytes, so `test_golden.py` pins their sha256 digests instead of the
-bytes; it pins the exit of `chain128`.
+bytes; it pins the exits of `chain128` and `pair4096`.
 
     python tests/large_documents.py DIR
 
@@ -64,6 +68,10 @@ def chain128() -> dict:
                      _blocks(points))
 
 
+def pair4096() -> dict:
+    return _document(_points(4096), [], [])
+
+
 def rescue18() -> dict:
     points, components = ["p", "q", "r"], [["p", "q"]]
     basis = [["p"], ["q"], ["p", "q", "r"]]
@@ -76,7 +84,8 @@ def rescue18() -> dict:
 
 
 DOCUMENTS = {"discrete16": discrete16, "chain20": chain20,
-             "rescue18": rescue18, "chain128": chain128}
+             "rescue18": rescue18, "chain128": chain128,
+             "pair4096": pair4096}
 
 
 def write_documents(directory) -> dict:

@@ -310,11 +310,12 @@ def test_readme_bounds_match_the_constants():
     for row in section.split("\n## ")[0].splitlines():
         cells = row.split("|")
         if len(cells) > 5:
-            for name in re.findall(r"`((?:spaces|oracle)\.[A-Z_]+)`",
+            for name in re.findall(
+                    r"`((?:spaces|oracle|groupoids)\.[A-Z_]+)`",
                                    cells[4]):
                 bound = re.match(r"[\d,]+", cells[3].strip())
                 documented[name] = int(bound.group().replace(",", ""))
-    assert len(documented) == 8
+    assert len(documented) == 9
     for name, bound in documented.items():
         module, constant = name.split(".")
         assert getattr(getattr(lg, module), constant) == bound, name

@@ -215,7 +215,8 @@ def test_restriction_checker_guards_coherence(monkeypatch, capsys, sp_nc,
     # every section is coherent, so a report that says otherwise is a
     # germ or closure bug; `verify` meets it in the restriction checker
     broken = lg.CoherenceReport(False, False, ())
-    monkeypatch.setattr(lg.coherence, "coherence_report", lambda s: broken)
+    monkeypatch.setattr(lg.coherence, "coherence_report",
+                        lambda s, globalised=None: broken)
     cover = [sp_nc.minimal_open(x) for x in sp_nc.points]
     with pytest.raises(InvariantViolationError, match="not coherent"):
         lg.verify_restriction_coherence(s_nc, cover)

@@ -14,8 +14,12 @@ and says so in CHANGES.md.
 
 Three large documents of `large_documents.py` have outputs of up to
 12 MB, too large to commit, so their `--format json` stdout is pinned as
-a sha256 digest instead. The fourth, `chain128`, is pinned by its exit
-on the open-set bound.
+a sha256 digest instead. The other two are pinned by their exits:
+`chain128` on the open-set bound, `pair4096` on the built-in arrow
+bound.
+
+The suite goldens hold only tallies, so every checker report of the
+3,6 suite, details and certificates included, is pinned by one digest.
 """
 
 import contextlib
@@ -118,6 +122,40 @@ def test_chain128_stops_at_the_open_set_bound(command, large_paths):
     assert (run["exit_code"], run["stdout"], run["stderr"]) == (
         3, "", "error[resource-limit]: more than 65536 open sets, "
                "too many to list\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_pair4096_stops_at_the_builtin_arrow_bound(command, large_paths):
+    # 4,096 points would make 2^24 pair arrows: refused before any is built
+    run = capture([command, "--input", large_paths["pair4096"],
+                   "--format", "json"])
+    assert (run["exit_code"], run["stdout"], run["stderr"]) == (
+        3, "", "error[resource-limit]: 16777216 arrows exceeds the "
+               "built-in groupoid bound of 1048576\n")
+
+
+SUITE_3_6_REPORTS_DIGEST = (
+    "f3be4c8a2952805564d4f6354c32a2dc13c595d03853a7ab4fd68474f2ba8a43")
+
+
+def test_suite_3_6_reports_match_their_digest():
+    # canonical JSON of each report's `as_dict()`, one line per report,
+    # for every section of the 3,6 suite, made as `verify --suite` makes
+    # the reports it tallies
+    from locglob.cli import _theorem_reports
+    from locglob.oracle import cross_check_glob, instance_suite
+
+    digest, reports = hashlib.sha256(), 0
+    for inst, section, atlas in instance_suite(3, 6).iter_sections():
+        wide = cross_check_glob(section, atlas)
+        for report in _theorem_reports(inst.space, section, atlas, wide,
+                                       wide):
+            digest.update(json.dumps(report.as_dict(), sort_keys=True,
+                                     separators=(",", ":")).encode("utf-8")
+                          + b"\n")
+            reports += 1
+    assert (reports, digest.hexdigest()) == (
+        7 * 369, SUITE_3_6_REPORTS_DIGEST)
 
 
 if __name__ == "__main__":

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 import locglob as lg
 from locglob.errors import (AssociativityError, EndpointMismatchError,
                             InverseLawError, MissingIdentityError,
-                            ValidationError)
+                            ResourceLimitError, ValidationError)
 from locglob.groupoids import MAX_REGIONS, _arrow_closure
 from locglob.oracle import _arrows_inside
 
-from conftest import full_wide, subsets
+from conftest import fixture_path, full_wide, subsets
 
 PAIR4 = lg.pair_groupoid({"1", "2", "3", "4"})
 NON_ID4 = sorted(PAIR4.arrow_ids - PAIR4.identity_ids)
@@ -649,6 +649,58 @@ def test_rel_times_group_accepts_any_parent_with_one_arrow_per_pair():
     diagonal = lg.wide_subgroupoid(lg.pair_groupoid(points), points)
     assert (lg.rel_times_group(lg.wide_subgroupoid(bundle, points), z2)
             == lg.rel_times_group(diagonal, z2))
+
+
+REL2 = full_wide(lg.pair_groupoid({"1", "2"}), {"1", "2"})
+BUILTIN_KINDS = {  # a constructor call and the arrows it makes
+    "pair": (lambda: lg.pair_groupoid({"1", "2", "3"}), 9),
+    "bundle": (lambda: lg.group_bundle(
+        {"1", "2"}, {"1": lg.cyclic_group(2), "2": lg.cyclic_group(3)}), 5),
+    "rel_times_group": (lambda: lg.rel_times_group(REL2, lg.cyclic_group(3)),
+                        12),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+def test_builtin_kind_is_built_at_its_arrow_bound(kind, monkeypatch):
+    build, arrows = BUILTIN_KINDS[kind]
+    monkeypatch.setattr(lg.groupoids, "MAX_BUILTIN_ARROWS", arrows)
+    assert len(build().arrow_ids) == arrows
+
+
+@pytest.mark.parametrize("kind", sorted(BUILTIN_KINDS))
+def test_builtin_kind_past_its_arrow_bound_builds_no_arrow(kind,
+                                                           monkeypatch):
+    build, arrows = BUILTIN_KINDS[kind]
+
+    def refused(*args):
+        raise AssertionError("built arrows past the bound")
+    monkeypatch.setattr(lg.groupoids, "_tabulate", refused)
+    monkeypatch.setattr(lg.groupoids, "MAX_BUILTIN_ARROWS", arrows - 1)
+    with pytest.raises(ResourceLimitError,
+                       match=f"^{arrows} arrows exceeds the built-in "
+                             f"groupoid bound of {arrows - 1}$"):
+        build()
+
+
+@pytest.mark.parametrize("name, arrows", [
+    ("ind2_pair_full.json", 4), ("sier_bundle.json", 4), ("rel_k2.json", 8)])
+def test_documents_meet_the_builtin_arrow_bound(name, arrows, monkeypatch):
+    monkeypatch.setattr(lg.groupoids, "MAX_BUILTIN_ARROWS", arrows)
+    parsed = lg.load_instance(fixture_path(name))
+    assert len(parsed.groupoid.arrow_ids) == arrows
+    monkeypatch.setattr(lg.groupoids, "MAX_BUILTIN_ARROWS", arrows - 1)
+    with pytest.raises(ResourceLimitError, match=f"^{arrows} arrows"):
+        lg.load_instance(fixture_path(name))
+
+
+def test_relation_document_bounds_the_pair_groupoid_it_parses_into(
+        monkeypatch):
+    # rel_k2 relates 2 points: its relation is read as arrows of the
+    # 4-arrow pair groupoid, which the bound refuses before the relation
+    monkeypatch.setattr(lg.groupoids, "MAX_BUILTIN_ARROWS", 3)
+    with pytest.raises(ResourceLimitError, match="^4 arrows"):
+        lg.load_instance(fixture_path("rel_k2.json"))
 
 
 def test_wide_subgroupoid_names_unknown_base_objects():

@@ -479,13 +479,14 @@ def test_suite_sections_round_trip_through_oracles(suite36):
 def test_verify_suite_restricts_no_minimal_cover_member(monkeypatch, capsys):
     # `verify` passes the minimal cover, so the restriction checker
     # restricts nothing; `coherence_report` runs once per section, in
-    # the restriction checker. `glob` runs twice per section (the oracle
-    # cross-check and `coherence_report`; the foliation checker reads the
-    # components off the germs) and `loc` once (`cli`: the clopenness
-    # checker and `coherence_report` read germs as arrow sets); each runs
-    # once more for each of the 3 sections whose globalisation has a
-    # component that is not connected. `glob` closes its germ seed
-    # without `generate_wide`'s checks (741 calls when it made them)
+    # the restriction checker. `glob` runs once per section (the oracle
+    # cross-check, whose value `coherence_report` is given; the foliation
+    # checker reads the components off the germs) and `loc` once (`cli`:
+    # the clopenness checker and `coherence_report` read germs as arrow
+    # sets); each runs once more for each of the 3 sections whose
+    # globalisation has a component that is not connected. `glob` closes
+    # its germ seed without `generate_wide`'s checks (741 calls when it
+    # made them)
     calls = {"restrict_section": 0, "full_restriction": 0,
              "coherence_report": 0, "glob": 0, "loc": 0, "generate_wide": 0}
 
@@ -510,8 +511,42 @@ def test_verify_suite_restricts_no_minimal_cover_member(monkeypatch, capsys):
     capsys.readouterr()
     assert calls == {"restrict_section": 0, "full_restriction": 0,
                      "coherence_report": 369,
-                     "glob": 2 * 369 + 3, "loc": 369 + 3,
+                     "glob": 369 + 3, "loc": 369 + 3,
                      "generate_wide": 0}
+
+
+def _count_detail_builders(monkeypatch) -> dict:
+    """Count `open_label_lists` and `_set_list` calls where `coherence`
+    looks them up: the foliation opens and the sorted set families that
+    only a report's details hold."""
+    calls = {"open_label_lists": 0, "_set_list": 0}
+    for name in calls:
+        original = getattr(lg.coherence, name)
+
+        def wrapper(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(lg.coherence, name, wrapper)
+    return calls
+
+
+def test_verify_suite_builds_no_report_details(monkeypatch, capsys):
+    # suite mode tallies each report's status and never reads its
+    # details, so no report builds them
+    calls = _count_detail_builders(monkeypatch)
+    assert cli.main(["verify", "--suite", "3,6", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert calls == {"open_label_lists": 0, "_set_list": 0}
+
+
+def test_verify_instance_builds_every_report_details(monkeypatch, capsys):
+    # `--input` prints every report's details, so it builds them all
+    calls = _count_detail_builders(monkeypatch)
+    assert cli.main(["verify", "--input", fixture_path("nc_pair_atlas.json"),
+                     "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert all(r["details"] for r in out["reports"])
+    assert calls["open_label_lists"] >= 1 and calls["_set_list"] >= 1
 
 
 def test_verify_suite_scans_each_region_once(monkeypatch, capsys):
