@@ -111,7 +111,7 @@ def cmd_analyze(parsed: ParsedInstance) -> dict:
     section, atlas = _section_source(parsed)
     space, g = parsed.space, parsed.groupoid
     globalised = glob(section)
-    report = coherence_report(section)
+    report = coherence_report(section, globalised=globalised)
     total = is_totally_coherent(section)[0]
     foliated = foliation_space(section, atlas)
     doc = {

@@ -10,8 +10,6 @@ checked statements does fail, and the bundled fixtures pin that down.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import InvariantViolationError, ResourceLimitError, ValidationError
@@ -19,13 +17,12 @@ from .groupoids import (WideSubgroupoid, _generated_components,
                         restrict_wide, transitivity_components)
 from .sections import (Atlas, Germ, LocalSubgroupoid, _loc_arguments, glob,
                        loc, restrict_section, section_from_atlas)
-from .spaces import (FiniteSpace, connected_components, count_opens,
-                     enumerate_opens, generate_topology, label_key,
-                     open_label_lists, sorted_labels)
+from .spaces import (FiniteSpace, _Frozen, _set, connected_components,
+                     count_opens, enumerate_opens, generate_topology,
+                     label_key, open_label_lists, sorted_labels)
 
 
-@dataclass(frozen=True, eq=False)
-class CoherenceReport:
+class CoherenceReport(_Frozen):
     """Comparison of a section with the germs of its globalisation.
 
     coherent: the section sits below loc(glob(section)) pointwise.
@@ -35,24 +32,29 @@ class CoherenceReport:
     is strict somewhere.
     """
 
-    coherent: bool
-    globally_coherent: bool
-    witnesses: tuple
+    _fields = ("coherent", "globally_coherent", "witnesses")
+
+    def __init__(self, coherent, globally_coherent, witnesses):
+        _set(self, "coherent", coherent)
+        _set(self, "globally_coherent", globally_coherent)
+        _set(self, "witnesses", witnesses)
 
 
-@dataclass(frozen=True, eq=False)
-class TheoremReport:
+class TheoremReport(_Frozen):
     """Outcome of one checker run on one instance. `details` is built by
     the zero-argument `build_details` on first read and then kept, so a
     caller that reads only `status` builds none of it."""
 
-    theorem: str
-    hypothesis_holds: bool
-    conclusion_holds: bool
-    counterexample: dict | None
-    build_details: Callable[[], dict] = dict
+    _fields = ("theorem", "hypothesis_holds", "conclusion_holds",
+               "counterexample", "build_details")
 
-    def __post_init__(self):
+    def __init__(self, theorem, hypothesis_holds, conclusion_holds,
+                 counterexample, build_details=dict):
+        _set(self, "theorem", theorem)
+        _set(self, "hypothesis_holds", hypothesis_holds)
+        _set(self, "conclusion_holds", conclusion_holds)
+        _set(self, "counterexample", counterexample)
+        _set(self, "build_details", build_details)
         expected = self.hypothesis_holds and not self.conclusion_holds
         if (self.counterexample is not None) != expected:
             raise InvariantViolationError(

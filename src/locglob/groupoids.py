@@ -11,13 +11,12 @@ unchecked: each is closed by a one-line lemma stated where it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (AssociativityError, EndpointMismatchError,
                      InverseLawError, MissingIdentityError,
                      ResourceLimitError, ValidationError)
-from .spaces import blocks, label_key, sorted_labels
+from .spaces import _Frozen, _set, blocks, label_key, sorted_labels
 
 # regions whose arrow sets one groupoid keeps; past this many, each new
 # region evicts the oldest
@@ -66,22 +65,21 @@ class _Composites(dict):
         return self
 
 
-@dataclass(frozen=True, eq=False)
-class Groupoid:
+class Groupoid(_Frozen):
     """Objects plus arrows with explicit identity, inverse and
     composition tables. Values are immutable; equality is structural.
     A built-in kind composes on first lookup, so `table` answers
     subscripts only; `composites()` gives every composite."""
 
-    objects: frozenset
-    source: dict
-    target: dict
-    identity: dict
-    inverse: dict
-    table: dict  # (first, second) -> composite, diagrammatic order
+    _fields = ("objects", "source", "target", "identity", "inverse", "table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "objects", frozenset(self.objects))
+    def __init__(self, objects, source, target, identity, inverse, table):
+        _set(self, "objects", frozenset(objects))
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "identity", identity)
+        _set(self, "inverse", inverse)
+        _set(self, "table", table)  # (first, second) -> composite
 
     @cached_property
     def arrow_ids(self) -> frozenset:
@@ -226,18 +224,16 @@ def validate_groupoid(candidate: Groupoid) -> Groupoid:
     return g
 
 
-@dataclass(frozen=True, eq=False)
-class WideSubgroupoid:
+class WideSubgroupoid(_Frozen):
     """A subgroupoid of parent restricted to `base`, containing every
     identity of the base. Closure is checked on construction."""
 
-    parent: Groupoid
-    base: frozenset
-    arrows: frozenset
+    _fields = ("parent", "base", "arrows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", frozenset(self.base))
-        object.__setattr__(self, "arrows", frozenset(self.arrows))
+    def __init__(self, parent, base, arrows):
+        _set(self, "parent", parent)
+        _set(self, "base", frozenset(base))
+        _set(self, "arrows", frozenset(arrows))
         g = self.parent
         if not self.base <= g.objects:
             raise ValidationError(
@@ -271,9 +267,9 @@ class WideSubgroupoid:
         sets a lemma proves wide and closed over `base`; both sets must
         already be frozensets."""
         h = object.__new__(cls)
-        object.__setattr__(h, "parent", parent)
-        object.__setattr__(h, "base", base)
-        object.__setattr__(h, "arrows", arrows)
+        _set(h, "parent", parent)
+        _set(h, "base", base)
+        _set(h, "arrows", arrows)
         return h
 
     def __eq__(self, other):
@@ -423,14 +419,16 @@ def _check_printable_labels(labels, what):
         seen[s] = x
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class FiniteGroup(_Frozen):
     """A finite group given by its multiplication table."""
 
-    elements: frozenset
-    unit: object
-    mul: dict
-    inv: dict
+    _fields = ("elements", "unit", "mul", "inv")
+
+    def __init__(self, elements, unit, mul, inv):
+        _set(self, "elements", elements)
+        _set(self, "unit", unit)
+        _set(self, "mul", mul)
+        _set(self, "inv", inv)
 
 
 def finite_group(elements, unit, mul) -> FiniteGroup:

@@ -12,26 +12,26 @@ equals parse(doc) value for value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import ParseError
-from .groupoids import (FiniteGroup, Groupoid, WideSubgroupoid,
-                        finite_group, group_bundle, pair_groupoid,
-                        rel_times_group, validate_groupoid,
+from .groupoids import (FiniteGroup, Groupoid, finite_group, group_bundle,
+                        pair_groupoid, rel_times_group, validate_groupoid,
                         wide_subgroupoid)
 from .sections import Atlas
-from .spaces import (FiniteSpace, _minimal_cover, label_key, sorted_labels,
-                     space_from_basis)
+from .spaces import (FiniteSpace, _Frozen, _minimal_cover, _set, label_key,
+                     sorted_labels, space_from_basis)
 
 GROUPOID_KINDS = ("pair", "bundle", "rel_times_group", "explicit")
 
 
-@dataclass(frozen=True, eq=False)
-class ParsedInstance:
-    space: FiniteSpace
-    groupoid: Groupoid
-    atlas: Atlas | None
-    subgroupoid: WideSubgroupoid | None
+class ParsedInstance(_Frozen):
+    _fields = ("space", "groupoid", "atlas", "subgroupoid")
+
+    def __init__(self, space, groupoid, atlas, subgroupoid):
+        _set(self, "space", space)
+        _set(self, "groupoid", groupoid)
+        _set(self, "atlas", atlas)
+        _set(self, "subgroupoid", subgroupoid)
 
 
 def _expect(doc, key, kind, where):

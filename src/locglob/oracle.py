@@ -9,7 +9,6 @@ fail loudly rather than degrade.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .coherence import coherence_report
 from .errors import (InvariantViolationError, ResourceLimitError,
@@ -20,9 +19,9 @@ from .groupoids import (Groupoid, WideSubgroupoid, _arrow_closure,
                         transitivity_components)
 from .sections import (Atlas, LocalSubgroupoid, glob,
                        restrict_section, section_from_atlas)
-from .spaces import (FiniteSpace, connected_components, enumerate_opens,
-                     label_key, relative_openness, set_key, sorted_labels,
-                     sorted_sets)
+from .spaces import (FiniteSpace, _Frozen, _set, connected_components,
+                     enumerate_opens, label_key, relative_openness, set_key,
+                     sorted_labels, sorted_sets)
 
 DEFAULT_ARROW_BOUND = 16
 MAX_FILTER_ARROWS = 8  # non-identity arrows the subset filter tries
@@ -364,27 +363,31 @@ def local_connectivity_by_scan(space: FiniteSpace,
             "points_without_neighbourhood": failed}
 
 
-@dataclass(frozen=True, eq=False)
-class Instance:
+class Instance(_Frozen):
     """One generated test instance: a space, a groupoid on its points and
     every section of the groupoid over the space, each kept with the
     first atlas that defined it."""
 
-    space: FiniteSpace
-    groupoid: Groupoid
-    kind: str
-    sections: tuple
-    atlases: tuple
+    _fields = ("space", "groupoid", "kind", "sections", "atlases")
+
+    def __init__(self, space, groupoid, kind, sections, atlases):
+        _set(self, "space", space)
+        _set(self, "groupoid", groupoid)
+        _set(self, "kind", kind)
+        _set(self, "sections", sections)
+        _set(self, "atlases", atlases)
 
 
-@dataclass(frozen=True, eq=False)
-class InstanceSuite:
+class InstanceSuite(_Frozen):
     """Deterministically generated instances; reproducible from the two
     parameters alone."""
 
-    max_points: int
-    max_extra_arrows: int
-    instances: tuple
+    _fields = ("max_points", "max_extra_arrows", "instances")
+
+    def __init__(self, max_points, max_extra_arrows, instances):
+        _set(self, "max_points", max_points)
+        _set(self, "max_extra_arrows", max_extra_arrows)
+        _set(self, "instances", instances)
 
     def iter_sections(self):
         for inst in self.instances:

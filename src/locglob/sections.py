@@ -17,21 +17,28 @@ its docstring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (AtlasConsistencyError, AtlasCoverError, ValidationError)
 from .groupoids import (Groupoid, WideSubgroupoid, _arrow_closure,
                         full_restriction, restrict_wide)
-from .spaces import FiniteSpace, sorted_labels, subspace
+from .spaces import FiniteSpace, _Frozen, _set, sorted_labels, subspace
 
 
-@dataclass(frozen=True)
-class Germ:
+class Germ(_Frozen):
     """Canonical germ at a point: the defining chart restricted to the
-    point's minimal open neighbourhood."""
+    point's minimal open neighbourhood. Equal germs have equal fields."""
 
-    at: object
-    rep: WideSubgroupoid
+    _fields = ("at", "rep")
+
+    def __init__(self, at, rep):
+        _set(self, "at", at)
+        _set(self, "rep", rep)
+
+    def __eq__(self, other):
+        return ((self.at, self.rep) == (other.at, other.rep)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.at, self.rep))
 
 
 def germ_at(space: FiniteSpace, chart: WideSubgroupoid, x) -> Germ:
@@ -61,19 +68,18 @@ def germ_leq(lower: Germ, upper: Germ) -> bool:
     return lower.rep.arrows <= upper.rep.arrows
 
 
-@dataclass(frozen=True, eq=False)
-class Atlas:
+class Atlas(_Frozen):
     """Charts (open set, wide subgroupoid over it) that cover the space
     and induce equal germs at every shared point. Validation keeps the
     first chart's germ at each point: the section the atlas defines."""
 
-    space: FiniteSpace
-    charts: tuple
+    _fields = ("space", "charts")
 
-    def __post_init__(self):
+    def __init__(self, space, charts):
         charts = tuple((frozenset(open_set), sub)
-                       for open_set, sub in self.charts)
-        object.__setattr__(self, "charts", charts)
+                       for open_set, sub in charts)
+        _set(self, "space", space)
+        _set(self, "charts", charts)
         if not charts:
             if self.space.points:
                 raise AtlasCoverError("atlas has no charts")
@@ -112,25 +118,23 @@ class Atlas:
                         f"charts {hits[0]} and {j} induce different germs "
                         f"at point {x!r}",
                         point=x, charts=(hits[0], j))
-        object.__setattr__(self, "_section", LocalSubgroupoid._trusted(
-            self.space, parent, germs))
+        _set(self, "_section", LocalSubgroupoid._trusted(space, parent, germs))
 
     @property
     def parent(self) -> Groupoid:
         return section_from_atlas(self).parent
 
 
-@dataclass(frozen=True, eq=False)
-class LocalSubgroupoid:
+class LocalSubgroupoid(_Frozen):
     """A total assignment of germs satisfying the gluing law
     rep(y) = rep(x)|m(y) whenever y lies in m(x)."""
 
-    space: FiniteSpace
-    parent: Groupoid
-    germs: dict
+    _fields = ("space", "parent", "germs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "germs", dict(self.germs))
+    def __init__(self, space, parent, germs):
+        _set(self, "space", space)
+        _set(self, "parent", parent)
+        _set(self, "germs", dict(germs))
         if set(self.germs) != set(self.space.points):
             raise ValidationError(
                 "section must assign a germ to exactly the points of the space")
@@ -165,9 +169,9 @@ class LocalSubgroupoid:
         a lemma proves to be a section over `space`; `germs` must be a
         fresh dict with one canonical germ per point."""
         section = object.__new__(cls)
-        object.__setattr__(section, "space", space)
-        object.__setattr__(section, "parent", parent)
-        object.__setattr__(section, "germs", germs)
+        _set(section, "space", space)
+        _set(section, "parent", parent)
+        _set(section, "germs", germs)
         return section
 
     def __eq__(self, other):

@@ -63,15 +63,40 @@ def blocks(items, pairs) -> frozenset:
     return frozenset(frozenset(b) for x, b in block.items() if b[0] == x)
 
 
+# sets a field of a `_Frozen` value past its `__setattr__`; the field
+# stays in the instance's inline storage, where a `__dict__` would cost
+# a dict per value
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Immutable values: only `__init__` and `_trusted` builders set
+    fields, through `_set`, and only `cached_property` adds to them.
+    `__repr__` shows `_fields`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields))
+
+
 def _minimal_cover(space) -> list:
     """The distinct minimal neighbourhoods: a basis of the topology."""
     return sorted_sets({space.minimal_open(x) for x in space.points})
 
 
-class FiniteSpace:
+class FiniteSpace(_Frozen):
     """A finite point set with its topology, held as the minimal open
     neighbourhood m(x) of every point. The constructor takes the full
     open family and checks the topology laws on it."""
+
+    _fields = ("points", "_minimal")
 
     def __init__(self, points, opens):
         points = frozenset(points)
@@ -99,8 +124,8 @@ class FiniteSpace:
                     raise ValidationError(
                         f"opens not closed under union: {sorted_labels(o)} "
                         f"with {sorted_labels(minimal[x])}")
-        self.points = points
-        self._minimal = minimal
+        _set(self, "points", points)
+        _set(self, "_minimal", minimal)
 
     @classmethod
     def _trusted(cls, points: frozenset, minimal: dict) -> FiniteSpace:
@@ -108,8 +133,8 @@ class FiniteSpace:
         proves to be minimal neighbourhoods: x lies in m(x) inside
         `points`, and m(y) lies in m(x) for every y in m(x)."""
         space = object.__new__(cls)
-        space.points = points
-        space._minimal = minimal
+        _set(space, "points", points)
+        _set(space, "_minimal", minimal)
         return space
 
     def __eq__(self, other):

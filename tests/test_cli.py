@@ -90,6 +90,22 @@ def test_analyze_json_output(capsys):
         ["x"], ["y"], ["z"], ["p", "q", "r"]]
 
 
+def test_analyze_closes_the_germs_once(monkeypatch, capsys):
+    # `coherence_report` is given the globalisation `analyze` holds
+    calls = []
+    for module in (cli, lg.coherence):  # where `glob` is looked up
+        original = module.glob
+
+        def counted(section, original=original):
+            calls.append(section)
+            return original(section)
+        monkeypatch.setattr(module, "glob", counted)
+    assert main(["analyze", "--input", fixture_path("nc_pair_atlas.json"),
+                 "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_analyze_text_output(capsys):
     code = main(["analyze", "--input", fixture_path("sier_bundle.json")])
     assert code == 0
@@ -630,6 +646,19 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["coherence"]["globally_coherent"] is True
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the value classes are plain classes: importing the package and the
+    # CLI pulls in no `dataclasses`, and so no `inspect`, at start-up
+    src = pathlib.Path(lg.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import locglob, locglob.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code,
+                           str(src)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def _discrete40(tmp_path):

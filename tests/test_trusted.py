@@ -22,9 +22,14 @@ bundles of order-two groups over 5 to 7 points the wide subgroupoids
 over each m(x) must be the restrictions of those over the whole space,
 the extension lemma of the suite generator. That generator builds its
 spaces and charts unchecked too: every one is rebuilt here, and a suite
-must build with both validating constructors patched to raise.
+must build with both validating constructors patched to raise. Every
+value class, however built, refuses to set or delete an attribute.
 """
 
+import inspect
+import tracemalloc
+
+import pytest
 from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +37,8 @@ import locglob as lg
 from locglob.oracle import close_family, relative_openness_by_traces
 from locglob.spaces import set_key
 
-from conftest import (ROWS, assert_listing_matches_closed_family, full_wide,
-                      walk)
+from conftest import (ROWS, assert_listing_matches_closed_family,
+                      fixture_path, full_wide, walk)
 
 
 def _up_closure(points, edges) -> dict:
@@ -420,7 +425,122 @@ def test_suite_build_runs_no_validating_constructor(monkeypatch):
     def refuse(*args):
         raise AssertionError("validating constructor called")
 
+    # the `_trusted` builders set their fields without calling `__init__`
     monkeypatch.setattr(lg.FiniteSpace, "__init__", refuse)
-    monkeypatch.setattr(lg.WideSubgroupoid, "__post_init__", refuse)
+    monkeypatch.setattr(lg.WideSubgroupoid, "__init__", refuse)
     assert len(lg.instance_suite(3, 6).instances) == 68
 
+
+
+VALUE_CLASSES = (lg.Groupoid, lg.WideSubgroupoid, lg.FiniteGroup, lg.Germ,
+                 lg.Atlas, lg.LocalSubgroupoid, lg.CoherenceReport,
+                 lg.TheoremReport, lg.ParsedInstance, lg.Instance,
+                 lg.InstanceSuite)
+
+
+def _one_value_of_each_class() -> list:
+    """A value of every value class and of `FiniteSpace`, from the
+    validating constructors and from the `_trusted` builders."""
+    parsed = lg.load_instance(fixture_path("nc_pair_atlas.json"))
+    section = lg.section_from_atlas(parsed.atlas)  # trusted
+    suite = lg.instance_suite(2, 2)
+    space = lg.FiniteSpace({"a", "b"}, [set(), {"a"}, {"a", "b"}])
+    hash(space), parsed.groupoid.arrow_ids  # two cached properties filled
+    return [parsed, parsed.space, space, parsed.groupoid, parsed.atlas,
+            section, lg.LocalSubgroupoid(section.space, section.parent,
+                                         section.germs),
+            section.germs["x"], lg.glob(section),  # trusted
+            parsed.atlas.charts[0][1],  # validated
+            lg.coherence_report(section), lg.cyclic_group(2),
+            lg.TheoremReport("t", False, True, None), suite,
+            suite.instances[0]]
+
+
+def test_values_refuse_to_set_or_delete_an_attribute():
+    values = _one_value_of_each_class()
+    assert {type(v) for v in values} == {*VALUE_CLASSES, lg.FiniteSpace}
+    for value in values:
+        before = dict(vars(value))  # `cached_property` values included
+        assert set(value._fields) <= set(before), type(value)
+        for name in (*value._fields, *before, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert vars(value) == before
+
+
+def _bytes_kept(build) -> int:
+    """Bytes held by 2,000 values from `build`, and the list of them."""
+    tracemalloc.start()
+    try:
+        kept = [build(i) for i in range(2000)]  # alive while measured
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_values_keep_their_fields_without_a_dict():
+    # a `__dict__` on every germ and restriction raised the peak memory of
+    # building instance_suite(4, 12) by more than a quarter
+    class PlainGerm:  # attributes set the ordinary way
+        def __init__(self, at, rep):
+            self.at = at
+            self.rep = rep
+
+    class PlainWide:
+        def __init__(self, parent, base, arrows):
+            self.parent = parent
+            self.base = base
+            self.arrows = arrows
+
+    g = lg.pair_groupoid({"a"})
+    base, arrows = frozenset({"a"}), frozenset(g.identity_ids)
+    h = lg.WideSubgroupoid._trusted(g, base, arrows)
+    assert _bytes_kept(lambda i: lg.Germ(i, h)) <= _bytes_kept(
+        lambda i: PlainGerm(i, h))
+    assert _bytes_kept(
+        lambda i: lg.WideSubgroupoid._trusted(g, base, arrows)) <= _bytes_kept(
+        lambda i: PlainWide(g, base, arrows))
+
+
+def test_cached_properties_still_fill_on_first_read():
+    space = lg.space_from_basis({"a", "b"}, [{"a"}, {"a", "b"}])
+    g = lg.pair_groupoid(space.points)
+    assert "_hash" not in vars(space) and "arrow_ids" not in vars(g)
+    hash(space), g.arrow_ids
+    assert "_hash" in vars(space) and "arrow_ids" in vars(g)
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda c: c.__name__)
+def test_constructor_takes_the_fields_repr_shows(cls):
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == cls._fields
+    defaults = {n: p.default for n, p in params.items()
+                if p.default is not p.empty}
+    assert defaults == ({"build_details": dict}
+                        if cls is lg.TheoremReport else {})
+
+
+def test_repr_names_each_field():
+    report = lg.CoherenceReport(True, True, ())
+    assert repr(report) == (
+        "CoherenceReport(coherent=True, globally_coherent=True, witnesses=())")
+    g = lg.pair_groupoid({"a"})
+    h = lg.WideSubgroupoid(g, {"a"}, g.identity_ids)
+    assert repr(lg.Germ("a", h)) == f"Germ(at='a', rep={h!r})"
+    assert repr(h).startswith("WideSubgroupoid(parent=Groupoid(objects=")
+
+
+def test_germs_compare_by_value_and_reports_by_identity():
+    g = lg.pair_groupoid({"a", "b"})
+    first = lg.WideSubgroupoid(g, {"a"}, {g.identity["a"]})
+    second = lg.WideSubgroupoid._trusted(g, frozenset({"a"}),
+                                         frozenset({g.identity["a"]}))
+    assert first is not second and first == second
+    assert lg.Germ("a", first) == lg.Germ("a", second)
+    assert hash(lg.Germ("a", first)) == hash(("a", second))
+    assert lg.Germ("a", first) != lg.Germ("b", first)
+    assert lg.Germ("a", first).__eq__(("a", first)) is NotImplemented
+    report = lg.CoherenceReport(True, True, ())
+    assert report != lg.CoherenceReport(True, True, ()) and report == report
