@@ -512,12 +512,22 @@ def _tabulate(pairs, group_at, name) -> Groupoid:
 
 def pair_groupoid(points) -> Groupoid:
     """One arrow p:q for every ordered pair; compose(p:q, q:r) = p:r."""
+    pts = list(frozenset(points))
+    return _block_pair_groupoid(pts, zip(pts, pts[1:]))
+
+
+def _block_pair_groupoid(points, pairs) -> Groupoid:
+    """The arrows p:q of the pair groupoid on `points` with p and q in
+    one class of the equivalence relation that `pairs`, each of two
+    points, generate: the sum of |B|² over the classes B, counted before
+    any arrow is built, not the square of the point count."""
     pts = frozenset(points)
     if not pts:
         raise ValidationError("pair groupoid needs at least one point")
     _check_printable_labels(pts, "point")
-    _check_arrow_count(len(pts) ** 2)
-    return _tabulate([(p, q) for p in pts for q in pts],
+    classes = blocks(pts, pairs)
+    _check_arrow_count(sum(len(b) ** 2 for b in classes))
+    return _tabulate([(p, q) for b in classes for p in b for q in b],
                      lambda x: _TRIVIAL_GROUP, lambda p, q, k: f"{p}:{q}")
 
 

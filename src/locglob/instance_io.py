@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError
-from .groupoids import (FiniteGroup, Groupoid, finite_group, group_bundle,
-                        pair_groupoid, rel_times_group, validate_groupoid,
-                        wide_subgroupoid)
+from .groupoids import (FiniteGroup, Groupoid, _block_pair_groupoid,
+                        finite_group, group_bundle, pair_groupoid,
+                        rel_times_group, validate_groupoid, wide_subgroupoid)
 from .sections import Atlas
 from .spaces import (FiniteSpace, _Frozen, _minimal_cover, _set, label_key,
                      sorted_labels, space_from_basis)
@@ -131,15 +131,18 @@ def _parse_groupoid(doc, space: FiniteSpace) -> Groupoid:
         return group_bundle(space.points, fibers)
     if kind == "rel_times_group":
         pairs_raw = _expect(doc, "relation", list, "groupoid")
-        arrows = set()
         for i, row in enumerate(pairs_raw):
             if (not isinstance(row, list) or len(row) != 2
                     or not all(isinstance(v, str) for v in row)):
                 raise ParseError(
                     f"groupoid.relation[{i}] must be an [x, y] pair")
-            arrows.add(f"{row[0]}:{row[1]}")
-        relation = wide_subgroupoid(pair_groupoid(space.points),
-                                    space.points, arrows)
+        # the pairs of points span the classes; a pair with an unknown
+        # label names an arrow outside them, which the subgroupoid rejects
+        points = space.points
+        parent = _block_pair_groupoid(points, [
+            (x, y) for x, y in pairs_raw if x in points and y in points])
+        relation = wide_subgroupoid(parent, points,
+                                    {f"{x}:{y}" for x, y in pairs_raw})
         group = _parse_group(_expect(doc, "group", dict, "groupoid"),
                              "groupoid.group")
         return rel_times_group(relation, group)

@@ -17,7 +17,7 @@ from .groupoids import (Groupoid, WideSubgroupoid, _arrow_closure,
                         cyclic_group, generate_wide, group_bundle,
                         intersect_wide, pair_groupoid,
                         transitivity_components)
-from .sections import (Atlas, LocalSubgroupoid, glob,
+from .sections import (Atlas, Germ, LocalSubgroupoid, glob,
                        restrict_section, section_from_atlas)
 from .spaces import (FiniteSpace, _Frozen, _set, connected_components,
                      enumerate_opens, label_key, relative_openness, set_key,
@@ -448,7 +448,8 @@ def instance_suite(max_points: int, max_extra_arrows: int) -> InstanceSuite:
 def _build_instance(space, g, kind, max_extra_arrows) -> Instance:
     """Single-chart atlases of every wide H over X, then every consistent
     atlas of charts (m(x), K_x), x in sorted order; each section is kept
-    with the first atlas that defines it.
+    with the first atlas that defines it. Nothing is validated: each
+    step below is a lemma.
 
     (E) The wide K over m(x) are the restrictions H|m(x) of the wide H
     over X, read as `h.arrows & within[x]`: each H|m(x) is wide and
@@ -458,39 +459,61 @@ def _build_instance(space, g, kind, max_extra_arrows) -> Instance:
     (G) The charts agree on overlaps iff each K_x has, at every y in m(x)
     that an earlier chart holds, the germ K_x|m(y) the first such chart
     fixed: the earlier charts through y already agree with that one.
-    Germs are read as arrow sets, the chart's arrows inside m(y); within
-    one instance, the germs in sorted point order key the section.
-    (C) Only the first atlas of each key is built, so only it is
-    validated, and nothing skipped could fail: a later single chart is
-    one open chart over X, and distinct families of charts (m(x), K_x)
-    have distinct keys, K_x being the germ at x, so a family whose key
-    is taken is the canonical atlas of a section already found, whose
-    charts the gluing law makes agree.
+    Germs are read as arrow sets, the chart's arrows inside m(y). Every
+    partial atlas of the charts at the points before x covers the same
+    points, so the candidates K_x are put in buckets by their germs at
+    the points of m(x) already covered, and a partial atlas is extended
+    by the one bucket its fixed germs name. Each bucket keeps candidate
+    order, so the extensions are the consistent ones in the order a
+    filter over every candidate would give.
+    (C) Within one instance the germs in sorted point order key the
+    section, and only the first atlas of each key is kept: a later
+    single chart is one open chart over X, and distinct families of
+    charts (m(x), K_x) have distinct keys, K_x being the germ at x, so a
+    family whose key is taken is the canonical atlas of a section
+    already found. Every atlas is built by lemma, not through the
+    validating `Atlas`: its charts are open, cover X and agree, by (G)
+    or because there is one, and the germ of the first chart holding x
+    is the key's entry at x. So the section is the key's germ family,
+    which satisfies the gluing law as the germs of an atlas do (see
+    `section_from_atlas`). Its germ at x is the one `Germ` the instance
+    keeps for x and that arrow set, whose rep is the candidate chart
+    over m(x) with those arrows.
     """
     points = sorted_labels(space.points)
     within = {x: _arrows_inside(g, space.minimal_open(x)) for x in points}
     found = {}  # germ key -> charts of its first atlas, in insertion order
-    wides = enumerate_wide_subgroupoids(g, space.points, max_extra_arrows)
-    for h in wides:
-        key = tuple(h.arrows & within[x] for x in points)
-        found.setdefault(key, ((space.points, h),))
+    for h in enumerate_wide_subgroupoids(g, space.points, max_extra_arrows):
+        found.setdefault(tuple(h.arrows & within[x] for x in points),
+                         ((space.points, h),))
+    singles = list(found)  # by (E), entry i runs over the K at points[i]
+    germ_of = {}  # (point, arrow set) -> the instance's one germ
     partial = [((), {})]  # (charts, germ fixed at each covered point)
-    for x in points:
+    covered = frozenset()
+    for i, x in enumerate(points):
         m = space.minimal_open(x)
-        subs = [WideSubgroupoid._trusted(g, m, arrows) for arrows in sorted(
-            {h.arrows & within[x] for h in wides}, key=set_key)]
-        candidates = [(sub, {y: sub.arrows & within[y] for y in m})
-                      for sub in subs]
-        partial = [(charts + ((m, sub),), {**germs, **fixed})
+        overlap, fresh = tuple(m & covered), m - covered
+        buckets = {}  # germs at the overlap -> (chart, germs it fixes)
+        for arrows in sorted({key[i] for key in singles}, key=set_key):
+            sub = WideSubgroupoid._trusted(g, m, arrows)
+            germ_of[x, arrows] = Germ(x, sub)
+            buckets.setdefault(
+                tuple(arrows & within[y] for y in overlap), []).append(
+                ((m, sub), {y: arrows & within[y] for y in fresh}))
+        partial = [(charts + (chart,), {**fixed, **germs})
                    for charts, fixed in partial
-                   for sub, germs in candidates
-                   if all(fixed.get(y, germ) == germ
-                          for y, germ in germs.items())]
+                   for chart, germs in buckets.get(
+                       tuple(fixed[y] for y in overlap), ())]
+        covered |= m
     for charts, fixed in partial:
         found.setdefault(tuple(fixed[x] for x in points), charts)
-    atlases = tuple(Atlas(space, charts) for charts in found.values())
-    return Instance(space, g, kind, tuple(map(section_from_atlas, atlases)),
-                    atlases)
+    sections, atlases = [], []
+    for key, charts in found.items():
+        section = LocalSubgroupoid._trusted(space, g, {
+            x: germ_of[x, arrows] for x, arrows in zip(points, key)})
+        sections.append(section)
+        atlases.append(Atlas._trusted(space, charts, section))
+    return Instance(space, g, kind, tuple(sections), tuple(atlases))
 
 
 def cross_check_glob(section: LocalSubgroupoid, atlas: Atlas,

@@ -12,7 +12,8 @@ A local subgroupoid (here: section) assigns a germ to every point and
 satisfies the gluing law rep(y) = rep(x)|m(y) for y in m(x), enforced
 by the public constructor. `loc`, `section_from_atlas` and
 `restrict_section` build sections unchecked, each by a lemma stated in
-its docstring.
+its docstring, and so does the suite generator in `oracle`, which also
+builds its atlases unchecked.
 """
 
 from __future__ import annotations
@@ -120,6 +121,19 @@ class Atlas(_Frozen):
                         point=x, charts=(hits[0], j))
         _set(self, "_section", LocalSubgroupoid._trusted(space, parent, germs))
 
+    @classmethod
+    def _trusted(cls, space: FiniteSpace, charts: tuple,
+                 section: LocalSubgroupoid) -> Atlas:
+        """Build without validation. Only for charts a lemma proves open,
+        covering and consistent, given as a tuple of (frozenset, wide
+        subgroupoid) pairs, with `section` the germs of the first chart
+        holding each point, as validation would keep them."""
+        atlas = object.__new__(cls)
+        _set(atlas, "space", space)
+        _set(atlas, "charts", charts)
+        _set(atlas, "_section", section)
+        return atlas
+
     @property
     def parent(self) -> Groupoid:
         return section_from_atlas(self).parent
@@ -190,8 +204,9 @@ def section_from_atlas(atlas: Atlas) -> LocalSubgroupoid:
     """The section induced by an atlas: the germ of the first chart
     holding each point, kept by atlas validation, which has checked that
     the charts are open, cover the space and induce one germ at each
-    point. The gluing law needs no check: for y in m(x), with x in the
-    chart domain U, y lies in U too and (H|m(x))|m(y) = H|m(y)."""
+    point, or by the lemma that let `Atlas._trusted` skip it. The gluing
+    law needs no check: for y in m(x), with x in the chart domain U, y
+    lies in U too and (H|m(x))|m(y) = H|m(y)."""
     if not atlas.charts:
         raise ValidationError("empty atlas has no ambient groupoid")
     return atlas._section

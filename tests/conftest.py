@@ -83,6 +83,26 @@ def full_wide(parent, base):
     return lg.wide_subgroupoid(parent, base, parent.arrows_within(base))
 
 
+def germ_families(inst, max_families):
+    """Definitional twin of the suite generator: every choice of one wide
+    subgroupoid over each m(x) that the validating `LocalSubgroupoid`
+    accepts; None when there are more than `max_families` choices."""
+    space, g = inst.space, inst.groupoid
+    points = sorted_labels(space.points)
+    options = [lg.enumerate_wide_subgroupoids(g, space.minimal_open(x))
+               for x in points]
+    if math.prod(map(len, options)) > max_families:
+        return None
+    families = set()
+    for choice in itertools.product(*options):
+        germs = {x: lg.Germ(x, k) for x, k in zip(points, choice)}
+        try:
+            families.add(lg.LocalSubgroupoid(space, g, germs))
+        except lg.ValidationError:
+            continue
+    return families
+
+
 def fixture_path(name: str) -> str:
     return str(FIXTURE_DIR / name)
 

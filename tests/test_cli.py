@@ -803,6 +803,91 @@ def test_bundle_fiber_on_an_unknown_point_exits_2(tmp_path, capsys):
         "error[validation]: fiber keyed on unknown point 'zz'")
 
 
+def _relation_document(points, relation, order=1) -> dict:
+    """A `rel_times_group` document over `points` with an empty basis and
+    the cyclic group of the given order, its elements written as text."""
+    els = [str(k) for k in range(order)]
+    mul = [[a, b, str((int(a) + int(b)) % order)] for a in els for b in els]
+    return {"space": {"points": points, "basis": []},
+            "groupoid": {"kind": "rel_times_group",
+                         "relation": [list(p) for p in relation],
+                         "group": {"elements": els, "unit": "0",
+                                   "mul": mul}}}
+
+
+def test_relation_document_is_held_to_its_own_arrows(monkeypatch):
+    # the pair groupoid on 1,025 points would have 1,050,625 arrows, past
+    # the built-in bound; the relation is read inside the classes its
+    # pairs generate, here 1,025 of one point each
+    def refused(points):
+        raise AssertionError("a pair groupoid was built")
+
+    monkeypatch.setattr(lg.instance_io, "pair_groupoid", refused)
+    monkeypatch.setattr(lg.groupoids, "pair_groupoid", refused)
+    points = [f"p{i:04d}" for i in range(1025)]
+    parsed = parse_instance(_relation_document(points,
+                                               [(x, x) for x in points]))
+    assert len(parsed.groupoid.arrow_ids) == 1025
+
+
+def _relation_by_pair_groupoid(doc):
+    """Twin of the `rel_times_group` reading: the relation as arrows of
+    the pair groupoid on every point of the space."""
+    space = lg.space_from_basis(doc["space"]["points"], [])
+    body = doc["groupoid"]
+    relation = lg.wide_subgroupoid(lg.pair_groupoid(space.points),
+                                   space.points,
+                                   {f"{x}:{y}" for x, y in body["relation"]})
+    group = body["group"]
+    return lg.rel_times_group(relation, lg.finite_group(
+        group["elements"], group["unit"],
+        {(a, b): c for a, b, c in group["mul"]}))
+
+
+def _outcome(read):
+    """(exit code, message) of the error `read` raises, or (0, its value)."""
+    try:
+        return 0, read()
+    except lg.LocglobError as exc:
+        return exc.exit_code, str(exc)
+
+
+@st.composite
+def relation_documents(draw):
+    """A relation over 1 to 5 points, one of which may hold a separator
+    in its label; its pairs may name the unknown label "zz", and half
+    the time they are every pair within the classes the known pairs
+    span."""
+    points = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5,
+                           unique=True))
+    if draw(st.integers(0, 4)) == 4:
+        points[-1] = "x:y"
+    labels = st.sampled_from(points + ["zz"] * draw(st.integers(0, 1)))
+    pairs = draw(st.lists(st.tuples(labels, labels), max_size=8))
+    if draw(st.booleans()):
+        known = [p for p in pairs if "zz" not in p]
+        pairs = [p for p in pairs if "zz" in p] + [
+            (x, y) for block in lg.spaces.blocks(points, known)
+            for x in sorted(block) for y in sorted(block)]
+    return _relation_document(points, pairs, draw(st.sampled_from([1, 2])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(relation_documents())
+def test_relation_reading_matches_the_pair_groupoid_twin(doc):
+    # the same groupoid, or the same error and exit code
+    assert (_outcome(lambda: parse_instance(doc).groupoid)
+            == _outcome(lambda: _relation_by_pair_groupoid(doc)))
+
+
+def test_relation_document_on_no_points_is_refused_as_before():
+    doc = _relation_document([], [])
+    assert _outcome(lambda: parse_instance(doc)) == (
+        2, "pair groupoid needs at least one point")
+    assert _outcome(lambda: _relation_by_pair_groupoid(doc)) == (
+        2, "pair groupoid needs at least one point")
+
+
 @pytest.mark.parametrize("fixture, path, labels, message", [
     ("sier_bundle.json", ("space", "points"), ["1", "2", "1"],
      "space.points repeats the label '1'"),

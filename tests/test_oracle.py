@@ -1,6 +1,5 @@
 import functools
 import hashlib
-import itertools
 import json
 import math
 import random
@@ -22,8 +21,8 @@ from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
 from locglob.spaces import label_key, sorted_labels
 
 from conftest import (PAIRS, assert_listing_matches_closed_family, cases,
-                      fixture_path, full_wide, pair_id, refinement_options,
-                      subsets, walk)
+                      fixture_path, full_wide, germ_families, pair_id,
+                      refinement_options, subsets, walk)
 
 
 def test_enumeration_counts_match_bell_numbers():
@@ -354,19 +353,24 @@ def _suite_digest(suite) -> str:
     return digest.hexdigest()
 
 
-def test_suite_builds_one_atlas_per_section(monkeypatch):
-    # lemma (C) of `_build_instance`: only the first atlas of each germ
-    # key is built and validated (773 atlases for 369 sections before)
-    built = []
-
-    def counting_atlas(*args):
-        built.append(lg.Atlas(*args))
-        return built[-1]
-
-    monkeypatch.setattr(oracle, "Atlas", counting_atlas)
-    suite = lg.instance_suite(3, 6)
-    assert len(built) == 369
-    assert [atlas for _, _, atlas in suite.iter_sections()] == built
+def test_suite_keeps_one_germ_per_point_and_arrow_set(suite36):
+    # `_build_instance` keeps one `Germ` per (point, arrow set) in each
+    # instance, whose rep is the chart over m(x) with those arrows that
+    # every minimal-neighbourhood atlas of the instance shares (1,078
+    # germ objects when each validated atlas built its own)
+    kept = set()
+    for inst in suite36.instances:
+        germs = {id(germ): germ for section in inst.sections
+                 for germ in section.germs.values()}
+        assert len({(germ.at, germ.rep.arrows) for germ in germs.values()}
+                   ) == len(germs)
+        for section, atlas in zip(inst.sections, inst.atlases):
+            if atlas.charts[0][0] != inst.space.points:  # charts (m(x), K_x)
+                points = sorted_labels(inst.space.points)
+                assert all(sub is section.germs[x].rep for x, (_, sub)
+                           in zip(points, atlas.charts))
+        kept |= germs.keys()
+    assert len(kept) == 600
 
 
 def test_instance_suites_are_pinned(suite36, suite412):
@@ -374,26 +378,6 @@ def test_instance_suites_are_pinned(suite36, suite412):
     # sections and atlases is part of the suite's contract
     assert _suite_digest(suite36) == SUITE36_DIGEST
     assert _suite_digest(suite412) == SUITE412_DIGEST
-
-
-def _germ_families(inst, max_families):
-    """Definitional twin of the generator: every choice of one wide
-    subgroupoid over each m(x) that the validating `LocalSubgroupoid`
-    accepts; None when there are more than `max_families` choices."""
-    space, g = inst.space, inst.groupoid
-    points = sorted_labels(space.points)
-    options = [lg.enumerate_wide_subgroupoids(g, space.minimal_open(x))
-               for x in points]
-    if math.prod(map(len, options)) > max_families:
-        return None
-    families = set()
-    for choice in itertools.product(*options):
-        germs = {x: lg.Germ(x, k) for x, k in zip(points, choice)}
-        try:
-            families.add(lg.LocalSubgroupoid(space, g, germs))
-        except ValidationError:
-            continue
-    return families
 
 
 def test_suite_sections_are_every_germ_family(suite36, suite412):
@@ -405,7 +389,7 @@ def test_suite_sections_are_every_germ_family(suite36, suite412):
             (suite412, 100, (385, 72))):
         checked = beyond_single_charts = 0
         for inst in suite.instances:
-            families = _germ_families(inst, max_families)
+            families = germ_families(inst, max_families)
             if families is None:
                 continue
             assert set(inst.sections) == families

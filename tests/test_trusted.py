@@ -21,9 +21,11 @@ agree with their explicit-family definitions in `oracle`, and on
 bundles of order-two groups over 5 to 7 points the wide subgroupoids
 over each m(x) must be the restrictions of those over the whole space,
 the extension lemma of the suite generator. That generator builds its
-spaces and charts unchecked too: every one is rebuilt here, and a suite
-must build with both validating constructors patched to raise. Every
-value class, however built, refuses to set or delete an attribute.
+spaces, charts, sections and atlases unchecked too: every one is
+rebuilt here, a suite must build with the four validating constructors
+patched to raise, and on preorders of 5 and 6 points its sections must
+be the germ families of the twin in `conftest.py`. Every value class,
+however built, refuses to set or delete an attribute.
 """
 
 import inspect
@@ -34,11 +36,12 @@ from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
 import locglob as lg
+from locglob import oracle
 from locglob.oracle import close_family, relative_openness_by_traces
 from locglob.spaces import set_key
 
 from conftest import (ROWS, assert_listing_matches_closed_family,
-                      fixture_path, full_wide, walk)
+                      fixture_path, full_wide, germ_families, walk)
 
 
 def _up_closure(points, edges) -> dict:
@@ -421,15 +424,59 @@ def test_generated_charts_pass_the_validating_constructor(suite36, suite412):
             _assert_trusted(sub)
 
 
+def test_generated_atlases_pass_the_validating_constructor(suite36,
+                                                          suite412):
+    # lemma (C) of `oracle._build_instance`: every atlas is built by lemma,
+    # and validating its charts keeps the section generated beside it
+    for suite in (suite36, suite412):
+        for _, section, atlas in suite.iter_sections():
+            rebuilt = lg.Atlas(atlas.space, atlas.charts)
+            assert rebuilt.charts == atlas.charts
+            assert lg.section_from_atlas(rebuilt) == section
+
+
+def test_generated_sections_pass_the_validating_constructor(suite36,
+                                                            suite412):
+    # lemma (C): each section is its key's germ family, which satisfies
+    # the gluing law; its spaces and charts are rebuilt above
+    for suite in (suite36, suite412):
+        for _, section, _ in suite.iter_sections():
+            assert lg.LocalSubgroupoid(section.space, section.parent,
+                                       section.germs) == section
+
+
 def test_suite_build_runs_no_validating_constructor(monkeypatch):
     def refuse(*args):
         raise AssertionError("validating constructor called")
 
     # the `_trusted` builders set their fields without calling `__init__`
-    monkeypatch.setattr(lg.FiniteSpace, "__init__", refuse)
-    monkeypatch.setattr(lg.WideSubgroupoid, "__init__", refuse)
+    for cls in (lg.FiniteSpace, lg.WideSubgroupoid, lg.Atlas,
+                lg.LocalSubgroupoid):
+        monkeypatch.setattr(cls, "__init__", refuse)
     assert len(lg.instance_suite(3, 6).instances) == 68
 
+
+# choices of one wide subgroupoid per m(x) that the germ-family twin
+# tries per draw; draws with more are skipped
+TWIN_FAMILIES = 4096
+
+
+@settings(max_examples=40, deadline=None)
+@given(preorders(5, 6))
+def test_generator_sections_match_germ_families_past_the_cap(case):
+    # `_build_instance` past the suite's 4-point cap, where the lookup of
+    # (G) and the trusted sections and atlases of (C) meet spaces no
+    # suite lists: the Z/2 bundle has at most 6 non-identity arrows
+    points, minimal = case
+    space = lg.space_from_basis(points, list(minimal.values()))
+    g = lg.group_bundle(points, dict.fromkeys(points, lg.cyclic_group(2)))
+    inst = oracle._build_instance(space, g, "bundle", len(points))
+    families = germ_families(inst, TWIN_FAMILIES)
+    assume(families is not None)
+    assert len(inst.sections) == len(families)
+    assert set(inst.sections) == families
+    for section, atlas in zip(inst.sections, inst.atlases):
+        assert lg.section_from_atlas(lg.Atlas(space, atlas.charts)) == section
 
 
 VALUE_CLASSES = (lg.Groupoid, lg.WideSubgroupoid, lg.FiniteGroup, lg.Germ,
