@@ -14,7 +14,7 @@ from functools import cache, cached_property
 
 from .errors import InvariantViolationError, ResourceLimitError, ValidationError
 from .groupoids import (WideSubgroupoid, _generated_components,
-                        restrict_wide, transitivity_components)
+                        transitivity_components)
 from .sections import (Atlas, Germ, LocalSubgroupoid, _loc_arguments, glob,
                        loc, restrict_section, section_from_atlas)
 from .spaces import (FiniteSpace, _Frozen, _set, connected_components,
@@ -94,10 +94,11 @@ def coherence_report(section: LocalSubgroupoid, *,
     for x in sorted_labels(section.space.points):
         mine = section.germs[x]
         m = mine.rep.base
-        theirs = globalised.arrows & section.parent.arrows_within(m)
+        theirs = section.parent.arrows_within(globalised.arrows, m)
         coherent &= mine.rep.arrows <= theirs
-        if mine.rep.arrows != theirs:
-            witnesses.append((x, mine, Germ(x, restrict_wide(globalised, m))))
+        if mine.rep.arrows != theirs:  # theirs is glob(section)|m(x)
+            witnesses.append((x, mine, Germ(x, WideSubgroupoid._trusted(
+                globalised.parent, m, theirs))))
     return CoherenceReport(coherent, not witnesses, tuple(witnesses))
 
 
@@ -191,14 +192,14 @@ def verify_component_clopenness(section: LocalSubgroupoid,
     space, parent = section.space, wide.parent
     _loc_arguments(space, wide)
     if parent != section.parent or any(  # loc(wide), as arrow sets
-            g.rep.arrows != wide.arrows & parent.arrows_within(g.rep.base)
+            g.rep.arrows != parent.arrows_within(wide.arrows, g.rep.base)
             for g in section.germs.values()):
         raise ValidationError(
             "section must be the germ section of the wide subgroupoid")
     cover_sets = _open_cover(space, cover)
     seed = set()
     for v in cover_sets:
-        seed |= wide.arrows & parent.arrows_within(v)
+        seed |= parent.arrows_within(wide.arrows, v)
     components = _generated_components(parent, space.points, seed)
     return TheoremReport(
         "component-clopenness", True, True, None,

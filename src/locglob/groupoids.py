@@ -18,10 +18,6 @@ from .errors import (AssociativityError, EndpointMismatchError,
                      ResourceLimitError, ValidationError)
 from .spaces import _Frozen, _set, blocks, label_key, sorted_labels
 
-# regions whose arrow sets one groupoid keeps; past this many, each new
-# region evicts the oldest
-MAX_REGIONS = 256
-
 # arrows a built-in kind (pair, bundle, relation times group) may have;
 # the count is checked before any per-arrow structure is built
 MAX_BUILTIN_ARROWS = 1 << 20
@@ -96,13 +92,6 @@ class Groupoid(_Frozen):
         reference back to the groupoid, so the memo goes with it."""
         return {}
 
-    @cached_property
-    def _regions(self) -> dict:
-        """region -> `arrows_within(region)`, for at most MAX_REGIONS
-        regions, oldest first. The groupoid never changes, so a kept set
-        stays right; the glob oracles scan arrows and never read it."""
-        return {}
-
     def compose(self, first, second):
         """first then second, when target[first] == source[second]."""
         return self.table[(first, second)]
@@ -116,19 +105,12 @@ class Groupoid(_Frozen):
     def non_identity_count(self) -> int:
         return len(self.arrow_ids - self.identity_ids)
 
-    def arrows_within(self, region) -> frozenset:
-        """Arrows with both ends in `region`, kept per region."""
-        reg = frozenset(region)
-        memo = self._regions
-        found = memo.get(reg)
-        if found is None:
-            if len(memo) >= MAX_REGIONS:
-                del memo[next(iter(memo))]
-            target = self.target
-            found = memo[reg] = frozenset(
-                a for a, x in self.source.items()
-                if x in reg and target[a] in reg)
-        return found
+    def arrows_within(self, arrows, region) -> frozenset:
+        """The members of `arrows` with both ends in the set `region`, by
+        one scan of `arrows`: the result is never larger than they are."""
+        source, target = self.source, self.target
+        return frozenset([a for a in arrows
+                          if source[a] in region and target[a] in region])
 
     def __eq__(self, other):
         if self is other:
@@ -298,7 +280,7 @@ def full_restriction(g: Groupoid, region) -> Groupoid:
     if not reg <= g.objects:
         raise ValidationError(
             f"unknown objects: {sorted_labels(reg - g.objects)}")
-    keep = g.arrows_within(reg)
+    keep = g.arrows_within(g.arrow_ids, reg)
     return Groupoid(
         objects=reg,
         source={a: g.source[a] for a in keep},
@@ -311,8 +293,8 @@ def full_restriction(g: Groupoid, region) -> Groupoid:
 
 
 def restrict_wide(h: WideSubgroupoid, region) -> WideSubgroupoid:
-    """Arrows of h with both endpoints in `region`: h's arrows met with
-    the parent's arrows inside the region, which the parent keeps.
+    """Arrows of h with both endpoints in `region`, by a scan of h's
+    arrows.
 
     Closed without a check: the identities of the region, the inverse of
     a kept arrow and the composite of two kept arrows all lie in h and
@@ -321,7 +303,7 @@ def restrict_wide(h: WideSubgroupoid, region) -> WideSubgroupoid:
     if not reg <= h.base:
         raise ValidationError("restriction region must lie inside the base")
     return WideSubgroupoid._trusted(h.parent, reg,
-                                    h.arrows & h.parent.arrows_within(reg))
+                                    h.parent.arrows_within(h.arrows, reg))
 
 
 def _arrow_closure(g: Groupoid, base: frozenset, seed,

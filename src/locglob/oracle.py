@@ -35,7 +35,7 @@ MAX_SUITE_POINTS = 4  # points of the spaces the suite generator lists
 def _arrows_inside(g: Groupoid, region) -> frozenset:
     """The arrows of g with both ends in `region`, by a scan of every
     arrow: the oracles' own `Groupoid.arrows_within`, so that no
-    reference value reads the region sets the groupoid keeps."""
+    reference value goes through the code it checks."""
     reg = frozenset(region)
     return frozenset(a for a in g.source
                      if g.source[a] in reg and g.target[a] in reg)

@@ -106,15 +106,12 @@ class Atlas(_Frozen):
         germs = {}
         for x in sorted_labels(self.space.points):
             m = self.space.minimal_open(x)
-            within = parent.arrows_within(m)
             hits = [i for i, (o, _) in enumerate(charts) if x in o]
-            # the first chart's germ, `restrict_wide(chart, m)`: its open
-            # domain holds x and so m, and `within` is already looked up
-            chart = charts[hits[0]][1]
-            kept = chart.arrows & within
-            germs[x] = Germ(x, WideSubgroupoid._trusted(chart.parent, m, kept))
+            # the first chart's germ: its open domain holds x and so m
+            germs[x] = Germ(x, restrict_wide(charts[hits[0]][1], m))
+            kept = germs[x].rep.arrows
             for j in hits[1:]:
-                if charts[j][1].arrows & within != kept:
+                if parent.arrows_within(charts[j][1].arrows, m) != kept:
                     raise AtlasConsistencyError(
                         f"charts {hits[0]} and {j} induce different germs "
                         f"at point {x!r}",
@@ -171,8 +168,8 @@ class LocalSubgroupoid(_Frozen):
         for x in sorted_labels(self.space.points):
             rx = self.germs[x].rep.arrows
             for y in sorted_labels(self.space.minimal_open(x) - {x}):
-                within = self.parent.arrows_within(self.space.minimal_open(y))
-                if self.germs[y].rep.arrows != rx & within:
+                ry = self.parent.arrows_within(rx, self.space.minimal_open(y))
+                if self.germs[y].rep.arrows != ry:
                     raise ValidationError(
                         f"gluing law fails from {x!r} to {y!r}")
 
@@ -276,8 +273,8 @@ def refines(finer: Atlas, coarser: Atlas) -> bool:
         raise ValidationError(
             "atlases over different spaces or groupoids are incomparable")
     for open_set, sub in finer.charts:
-        within = sub.parent.arrows_within(open_set)
-        if not any(open_set <= big and big_sub.arrows & within == sub.arrows
+        if not any(open_set <= big and sub.arrows
+                   == sub.parent.arrows_within(big_sub.arrows, open_set)
                    for big, big_sub in coarser.charts):
             return False
     return True

@@ -80,7 +80,8 @@ def suite412():
 
 def full_wide(parent, base):
     """Every arrow of `parent` inside `base`, as a wide subgroupoid."""
-    return lg.wide_subgroupoid(parent, base, parent.arrows_within(base))
+    return lg.wide_subgroupoid(parent, base,
+                               parent.arrows_within(parent.arrow_ids, base))
 
 
 def germ_families(inst, max_families):

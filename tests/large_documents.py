@@ -1,4 +1,4 @@
-"""Five large instance documents, three with CLI outputs pinned by digest.
+"""Six large instance documents, three with CLI outputs pinned by digest.
 
 Each has the pair groupoid and a subgroupoid that holds every pair
 arrow within each of its components:
@@ -17,6 +17,10 @@ arrow within each of its components:
 - `chain128`: the 128-point chain with the same blocks. Its foliation
   has more than 2^16 opens, so `analyze` and `verify` exit 3 once the
   pair groupoid on 128 points is built and the foliation is listed;
+- `chain256`: the 256-point chain with the same blocks, which stops
+  where `chain128` does. The 256 nested m(p_i) hold about 5.6 million
+  pair arrows between them, so a cache of the arrows inside each
+  region would show in the peak memory of `verify`, which is pinned;
 - `pair4096`: 4,096 points, an empty basis and a subgroupoid with no
   arrows. Its pair groupoid would have 2^24 arrows, past
   `groupoids.MAX_BUILTIN_ARROWS`, so `analyze` and `verify` exit 3
@@ -24,7 +28,8 @@ arrow within each of its components:
 
 The first three have `analyze` and `verify --format json` outputs of
 megabytes, so `test_golden.py` pins their sha256 digests instead of the
-bytes; it pins the exits of `chain128` and `pair4096`.
+bytes; it pins the exits of `chain128`, `chain256` and `pair4096`, and
+the peak memory of `verify` on `chain256`.
 
     python tests/large_documents.py DIR
 
@@ -56,16 +61,22 @@ def discrete16() -> dict:
     return _document(points, [[x] for x in points], _blocks(points))
 
 
-def chain20() -> dict:
-    points = _points(20)
-    return _document(points, [points[:i + 1] for i in range(20)],
+def _chain(n) -> dict:
+    points = _points(n)
+    return _document(points, [points[:i + 1] for i in range(n)],
                      _blocks(points))
+
+
+def chain20() -> dict:
+    return _chain(20)
 
 
 def chain128() -> dict:
-    points = _points(128)
-    return _document(points, [points[:i + 1] for i in range(128)],
-                     _blocks(points))
+    return _chain(128)
+
+
+def chain256() -> dict:
+    return _chain(256)
 
 
 def pair4096() -> dict:
@@ -85,7 +96,7 @@ def rescue18() -> dict:
 
 DOCUMENTS = {"discrete16": discrete16, "chain20": chain20,
              "rescue18": rescue18, "chain128": chain128,
-             "pair4096": pair4096}
+             "chain256": chain256, "pair4096": pair4096}
 
 
 def write_documents(directory) -> dict:

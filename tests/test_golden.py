@@ -14,9 +14,10 @@ and says so in CHANGES.md.
 
 Three large documents of `large_documents.py` have outputs of up to
 12 MB, too large to commit, so their `--format json` stdout is pinned as
-a sha256 digest instead. The other two are pinned by their exits:
-`chain128` on the open-set bound, `pair4096` on the built-in arrow
-bound.
+a sha256 digest instead. The other three are pinned by their exits:
+`chain128` and `chain256` on the open-set bound, `pair4096` on the
+built-in arrow bound. `verify` on `chain256` also has its peak memory
+pinned, in a process of its own.
 
 The suite goldens hold only tallies, so every checker report of the
 3,6 suite, details and certificates included, is pinned by one digest.
@@ -27,6 +28,7 @@ import hashlib
 import io
 import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -122,6 +124,27 @@ def test_chain128_stops_at_the_open_set_bound(command, large_paths):
     assert (run["exit_code"], run["stdout"], run["stderr"]) == (
         3, "", "error[resource-limit]: more than 65536 open sets, "
                "too many to list\n")
+
+
+def test_chain256_verify_stops_at_the_open_set_bound_in_bounded_memory(
+        large_paths):
+    # a fresh process, so that its peak RSS is this run's alone; the
+    # pair groupoid on 256 points is built, and no arrow set per
+    # minimal neighbourhood is kept (one per m(p_i) peaked at 327 MB)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import resource, sys; sys.path.insert(0, sys.argv[1]); "
+            "from locglob.cli import main; code = main(sys.argv[2:]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); "
+            "sys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src), "verify", "--input",
+         large_paths["chain256"], "--format", "json"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        3, "error[resource-limit]: more than 65536 open sets, "
+           "too many to list\n")
+    peak_kb = int(proc.stdout)  # ru_maxrss is in kilobytes on Linux
+    assert peak_kb < 150 * 1024
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

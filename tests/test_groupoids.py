@@ -8,7 +8,7 @@ import locglob as lg
 from locglob.errors import (AssociativityError, EndpointMismatchError,
                             InverseLawError, MissingIdentityError,
                             ResourceLimitError, ValidationError)
-from locglob.groupoids import MAX_REGIONS, _arrow_closure
+from locglob.groupoids import _arrow_closure
 from locglob.oracle import _arrows_inside
 
 from conftest import fixture_path, full_wide, subsets
@@ -253,42 +253,51 @@ def test_transitivity_components():
         {frozenset({"1", "2"}), frozenset({"3"})})
 
 
-def _index_matches_scan(g, regions, wides) -> int:
-    """Ask for every region twice, the second answer coming from the
-    groupoid's memo, and compare both with the oracle's arrow scan, and
-    every restriction to it with a scan of the subgroupoid's arrows;
-    returns the number of restrictions compared."""
-    restricted = 0
+def _within_matches_scan(g, regions, arrow_sets, wides) -> int:
+    """Compare `arrows_within(S, R)`, for every arrow set S and region R,
+    with the oracle's scan of all of g's arrows inside R met with S, and
+    every restriction to R with the same; S and R are given both frozen
+    and as plain sets. Returns the number of (S, R) pairs compared."""
+    compared = 0
     for region in regions:
-        scan = _arrows_inside(g, region)
-        assert g.arrows_within(region) == scan
-        assert g.arrows_within(set(region)) == scan
+        inside = _arrows_inside(g, region)
+        for arrows in arrow_sets:
+            expected = arrows & inside
+            assert g.arrows_within(arrows, region) == expected
+            assert g.arrows_within(set(arrows), set(region)) == expected
+            compared += 1
         for h in wides:
             if region <= h.base:
-                assert lg.restrict_wide(h, region).arrows == frozenset(
-                    a for a in h.arrows
-                    if g.source[a] in region and g.target[a] in region)
-                restricted += 1
-    return restricted
+                assert lg.restrict_wide(h, region).arrows == h.arrows & inside
+    return compared
 
 
-def test_region_index_matches_scan_on_the_suite_groupoids(suite36, suite412):
-    for suite in (suite36, suite412):
+def test_arrows_within_matches_scan_on_the_suite_groupoids(suite36,
+                                                           suite412):
+    # arrow sets: the parent's, every wide subgroupoid's, and every set
+    # of at most two arrows, which need not be closed; every region
+    for suite, pairs in ((suite36, 778), (suite412, 4058)):
         groupoids = {id(inst.groupoid): inst.groupoid
                      for inst in suite.instances}
-        restricted = sum(
-            _index_matches_scan(g, subsets(g.objects),
-                                lg.enumerate_wide_subgroupoids(g, g.objects))
-            for g in groupoids.values())
+        compared = 0
+        for g in groupoids.values():
+            wides = lg.enumerate_wide_subgroupoids(g, g.objects)
+            arrow_sets = [g.arrow_ids, *(h.arrows for h in wides)]
+            arrow_sets += map(frozenset, itertools.chain.from_iterable(
+                itertools.combinations(sorted(g.arrow_ids), k)
+                for k in (1, 2)))
+            compared += _within_matches_scan(g, subsets(g.objects),
+                                             arrow_sets, wides)
         assert len(groupoids) == 2 * suite.max_points
-        assert restricted > 100
+        assert compared == pairs
 
 
 @st.composite
 def groupoids_with_regions(draw):
     """A pair groupoid, a bundle of cyclic groups or a random equivalence
-    relation times a cyclic group on 1 to 6 points, with random regions
-    and a random wide subgroupoid over all its objects."""
+    relation times a cyclic group on 1 to 6 points, with random regions,
+    random arrow sets and a random wide subgroupoid over all its
+    objects."""
     points = [str(i) for i in range(1, draw(st.integers(1, 6)) + 1)]
     kind = draw(st.sampled_from(["pair", "bundle", "relation"]))
     if kind == "pair":
@@ -304,29 +313,20 @@ def groupoids_with_regions(draw):
                                lg.cyclic_group(draw(st.integers(1, 3))))
     regions = draw(st.lists(st.frozensets(st.sampled_from(points)),
                             min_size=1, max_size=10))
-    seed = draw(st.sets(st.sampled_from(sorted(g.arrow_ids)), max_size=4))
-    return g, regions, lg.generate_wide(g, points, seed)
+    arrows = st.sampled_from(sorted(g.arrow_ids))
+    arrow_sets = draw(st.lists(st.frozensets(arrows), min_size=1,
+                               max_size=5))
+    seed = draw(st.sets(arrows, max_size=4))
+    return g, regions, arrow_sets, lg.generate_wide(g, points, seed)
 
 
 @settings(max_examples=80, deadline=None)
 @given(groupoids_with_regions())
-def test_region_index_matches_scan_on_random_groupoids(case):
-    g, regions, h = case
-    _index_matches_scan(g, regions, [h, full_wide(g, g.objects)])
-
-
-def test_region_memo_stays_within_its_bound():
-    # 512 regions, twice the bound, asked for twice in the same order:
-    # each new region evicts the oldest, and every answer stays right
-    g = lg.pair_groupoid(map(str, range(9)))
-    h = lg.generate_wide(g, g.objects, {"0:1", "1:2", "3:4", "5:6", "6:8"})
-    regions = subsets(g.objects)
-    assert len(regions) == 2 * MAX_REGIONS
-    for _ in range(2):
-        for region in regions:
-            _index_matches_scan(g, [region], [h])
-            assert len(g._regions) <= MAX_REGIONS
-    assert list(g._regions) == regions[-MAX_REGIONS:]
+def test_arrows_within_matches_scan_on_random_groupoids(case):
+    g, regions, arrow_sets, h = case
+    full = full_wide(g, g.objects)
+    _within_matches_scan(g, regions, [*arrow_sets, h.arrows, full.arrows],
+                         [h, full])
 
 
 def test_intersect_wide():

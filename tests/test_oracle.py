@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import math
@@ -10,8 +9,9 @@ import locglob as lg
 from locglob import cli, oracle
 from locglob.errors import (InvariantViolationError, ResourceLimitError,
                             ValidationError)
-from locglob.oracle import (_enumerate_by_subset_filter, all_topologies,
-                            close_family, component_clopenness_by_scan,
+from locglob.oracle import (_arrows_inside, _enumerate_by_subset_filter,
+                            all_topologies, close_family,
+                            component_clopenness_by_scan,
                             cross_check_enumeration, cross_check_glob,
                             glob_by_refinements, glob_by_subgroupoid_defn,
                             local_connectivity_by_scan,
@@ -244,7 +244,7 @@ def test_definition_oracle_germs_are_the_arrow_sets_of_germ(suite36):
         space, g = inst.space, inst.groupoid
         for h in lg.enumerate_wide_subgroupoids(g, space.points):
             for x in space.points:
-                within = g.arrows_within(space.minimal_open(x))
+                within = _arrows_inside(g, space.minimal_open(x))
                 assert h.arrows & within == lg.germ_at(space, h, x).rep.arrows
                 checked += 1
     assert checked > 1000
@@ -260,7 +260,7 @@ def test_glob_oracles_call_neither_glob_nor_germ(monkeypatch, s_nc, a_nc):
         # `oracle` does not import `germ_at`; refuse it there all the same
         monkeypatch.setattr(module, "germ_at", refuse, raising=False)
     # both oracles read germs and pieces as arrow sets, from their own
-    # scan: neither restricts nor reads the regions the groupoid keeps
+    # scan: neither restricts nor calls `Groupoid.arrows_within`
     monkeypatch.setattr(oracle, "restrict_wide", refuse, raising=False)
     monkeypatch.setattr(lg.Groupoid, "arrows_within", refuse)
     assert glob_by_subgroupoid_defn(s_nc, max_arrows=32) == expected
@@ -270,7 +270,7 @@ def test_glob_oracles_call_neither_glob_nor_germ(monkeypatch, s_nc, a_nc):
 def test_local_connectivity_scan_reads_no_region(monkeypatch):
     # the twin restricts H to each open by its own scan of the arrows
     def refuse(*args):
-        raise AssertionError("the scan read the region index")
+        raise AssertionError("the scan called Groupoid.arrows_within")
 
     section, _ = cases("nc")[0]
     wides = [lg.glob(section), full_wide(section.parent, section.space.points)]
@@ -533,27 +533,6 @@ def test_verify_instance_builds_every_report_details(monkeypatch, capsys):
     assert calls["open_label_lists"] >= 1 and calls["_set_list"] >= 1
 
 
-def test_verify_suite_scans_each_region_once(monkeypatch, capsys):
-    # the suite shares one pair groupoid and one Z/2 bundle per point
-    # count, and each keeps the arrows inside every region it is asked
-    # for: one scan per distinct (groupoid, region), never evicted here.
-    # Each nonempty subset of 1..n is some minimal neighbourhood, so the
-    # two groupoids on n points scan 2^n - 1 regions each
-    misses = []
-
-    class Regions(dict):
-        def __setitem__(self, region, arrows):
-            misses.append(region)
-            super().__setitem__(region, arrows)
-
-    regions = functools.cached_property(lambda self: Regions())
-    regions.__set_name__(lg.Groupoid, "_regions")
-    monkeypatch.setattr(lg.Groupoid, "_regions", regions)
-    assert cli.main(["verify", "--suite", "3,6", "--format", "json"]) == 0
-    capsys.readouterr()
-    assert len(misses) == 2 * (1 + 3 + 7)
-
-
 def test_verify_asks_the_region_index_only_for_minimal_neighbourhoods(
         monkeypatch, capsys):
     # every germ, gluing check and cover member of `verify` on the
@@ -564,9 +543,9 @@ def test_verify_asks_the_region_index_only_for_minimal_neighbourhoods(
     regions = set()
     original = lg.Groupoid.arrows_within
 
-    def recorded(self, region):
+    def recorded(self, arrows, region):
         regions.add(frozenset(region))
-        return original(self, region)
+        return original(self, arrows, region)
 
     monkeypatch.setattr(lg.Groupoid, "arrows_within", recorded)
     assert cli.main(["verify", "--input", path, "--format", "json"]) == 0

@@ -124,7 +124,7 @@ def atlases(draw):
                 if not any(x in u for u in domains)]
     charts = []
     for u in dict.fromkeys(domains):
-        free = sorted(g.arrows_within(u) - g.identity_ids)
+        free = sorted(g.arrows_within(g.arrow_ids, u) - g.identity_ids)
         seed = draw(st.sets(st.sampled_from(free), max_size=2)) if free else ()
         charts.append((u, lg.generate_wide(g, u, seed)))
     try:
@@ -298,7 +298,8 @@ def perturbed(draw):
     ("atlas", space, charts) or ("section", space, parent, germs)."""
     atlas = draw(atlases())
     space, g, charts = atlas.space, atlas.parent, list(atlas.charts)
-    free = {x: sorted(g.arrows_within(space.minimal_open(x)) - g.identity_ids)
+    free = {x: sorted(g.arrows_within(g.arrow_ids, space.minimal_open(x))
+                       - g.identity_ids)
             for x in sorted(space.points)}
     holders = {x: [i for i, (o, _) in enumerate(charts) if x in o]
                for x in free}
